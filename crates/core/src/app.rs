@@ -12,7 +12,7 @@ use merrimac_sim::machine::SimError;
 use merrimac_sim::program::Memory;
 use merrimac_sim::{
     AccessIntent, BatchWidth, CompiledKernel, KernelEngine, KernelOpt, ProgramBuilder, RegionId,
-    RunReport, SdrPolicy, StreamProcessor, StreamProgram,
+    RunReport, SdrPolicy, StreamProcessor, StreamProgram, DEFAULT_STRIP_LOOKAHEAD,
 };
 
 use crate::kernels;
@@ -268,7 +268,7 @@ impl StreamMdApp {
         merrimac_analysis::analyze_program(&ProgramContext {
             cfg: &self.cfg,
             policy: self.policy,
-            strip_lookahead: StreamProcessor::new(self.cfg.clone()).strip_lookahead,
+            strip_lookahead: DEFAULT_STRIP_LOOKAHEAD,
             program: &step.program,
             memory: &step.memory,
         })

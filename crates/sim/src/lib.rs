@@ -39,6 +39,7 @@ pub use counters::{Counters, PhaseCycles};
 pub use kernelc::{CompiledKernel, KernelOpt};
 pub use machine::{
     buffer_capacity_words, produced_buffers, KernelEngine, RunReport, SimError, StreamProcessor,
+    DEFAULT_STRIP_LOOKAHEAD,
 };
 pub use memsys::{MemOpCost, MemSystem};
 pub use merrimac_kernel::BatchWidth;

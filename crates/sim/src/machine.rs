@@ -17,7 +17,7 @@ use crate::cache::CacheAccessStats;
 use crate::counters::{Counters, PhaseCycles};
 use crate::memsys::{MemOpCost, MemSystem};
 use crate::parallel::PartitionSummary;
-use crate::program::{BufferId, Memory, StreamOp, StreamProgram};
+use crate::program::{AccessKind, BufferId, Memory, StreamOp, StreamProgram};
 use crate::sdr::{SdrFile, SdrPolicy};
 use crate::srf::SrfAllocator;
 use crate::timeline::{Timeline, Unit};
@@ -53,6 +53,15 @@ pub enum SimError {
     },
     /// The scoreboard wedged (a bug or an impossible program).
     Deadlock(String),
+    /// The parallel engine's phase-A kernel counters disagree with the
+    /// phase-B scoreboard replay of the same program: an engine bug,
+    /// reported instead of returning inconsistent counters. Both arrays
+    /// are `[srf_refs, lrf_refs, hardware_flops, hardware_ops,
+    /// kernel_iterations]`.
+    CounterMismatch {
+        phase_a: [u64; 5],
+        scoreboard: [u64; 5],
+    },
     /// Program shape error (e.g. iterations not divisible by unroll).
     Program(String),
 }
@@ -80,6 +89,14 @@ impl std::fmt::Display for SimError {
                  supports 1..={total}"
             ),
             SimError::Deadlock(s) => write!(f, "scoreboard deadlock: {s}"),
+            SimError::CounterMismatch {
+                phase_a,
+                scoreboard,
+            } => write!(
+                f,
+                "engine bug: phase-A kernel counters {phase_a:?} disagree with the \
+                 scoreboard's {scoreboard:?}"
+            ),
             SimError::Program(s) => write!(f, "malformed program: {s}"),
         }
     }
@@ -300,6 +317,11 @@ pub(crate) fn kernel_functional(
     Ok((out.outputs, srf_words))
 }
 
+/// Default [`StreamProcessor::strip_lookahead`]: one strip of prefetch,
+/// the double-buffering discipline of the paper's stream scheduler
+/// (Figure 5).
+pub const DEFAULT_STRIP_LOOKAHEAD: usize = 1;
+
 /// A Merrimac node ready to execute stream programs.
 #[derive(Debug, Clone)]
 pub struct StreamProcessor {
@@ -342,7 +364,7 @@ impl StreamProcessor {
             cfg,
             costs: OpCosts::default(),
             policy: SdrPolicy::Eager,
-            strip_lookahead: 1,
+            strip_lookahead: DEFAULT_STRIP_LOOKAHEAD,
             partition_verbose: std::env::var("MERRIMAC_PARTITION_VERBOSE")
                 .map(|v| !v.is_empty() && v != "0")
                 .unwrap_or(false),
@@ -456,67 +478,56 @@ impl StreamProcessor {
     /// cluster array. In [`ExecMode::Inline`] it also executes each op
     /// functionally as it issues; in [`ExecMode::Precomputed`] the data
     /// movement already happened and only costs/timing are computed.
+    /// The caller has already run [`StreamProcessor::validate_program`].
     pub(crate) fn schedule(
         &self,
         memory: &mut Memory,
         program: &StreamProgram,
         mode: ExecMode,
     ) -> Result<RunReport, SimError> {
-        self.validate_program(program)?;
+        self.schedule_with(memory, program, mode, &Plan::new(program)?)
+    }
+
+    /// [`StreamProcessor::schedule`] against an explicit static plan.
+    pub(crate) fn schedule_with(
+        &self,
+        memory: &mut Memory,
+        program: &StreamProgram,
+        mode: ExecMode,
+        plan: &Plan,
+    ) -> Result<RunReport, SimError> {
         let n_ops = program.ops.len();
         let n_bufs = program.buffers.len();
+        let deps = &plan.deps;
+        let mut consumers = vec![0usize; n_bufs];
+        for lop in &program.ops {
+            for b in consumed_buffers(&lop.op) {
+                consumers[b.0] += 1;
+            }
+        }
 
-        // ---- static dependence analysis --------------------------------
-        // Producer of each buffer; consumers of each buffer.
-        let mut producer: Vec<Option<usize>> = vec![None; n_bufs];
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n_bufs];
-        for (i, lop) in program.ops.iter().enumerate() {
-            for b in produced_buffers(&lop.op) {
-                if producer[b.0].is_some() {
-                    return Err(SimError::Program(format!(
-                        "buffer {} has two producers",
-                        program.buffers[b.0].name
-                    )));
-                }
-                producer[b.0] = Some(i);
-            }
-            for b in consumed_buffers(&lop.op) {
-                consumers[b.0].push(i);
-            }
+        // Oldest strip that still has unfinished work bounds the prefetch
+        // window. Strip ids are ranked densely; a rank's remaining-op
+        // count only falls, so the oldest incomplete rank only advances.
+        let mut strip_ids: Vec<usize> = program.ops.iter().map(|lop| lop.strip).collect();
+        strip_ids.sort_unstable();
+        strip_ids.dedup();
+        let strip_rank: Vec<usize> = program
+            .ops
+            .iter()
+            .map(|lop| strip_ids.partition_point(|&s| s < lop.strip))
+            .collect();
+        let mut strip_left = vec![0usize; strip_ids.len()];
+        for &r in &strip_rank {
+            strip_left[r] += 1;
         }
-        // Op-level dependencies: buffer producers, plus region hazards
-        // (any earlier op that writes a region this op touches, and any
-        // earlier op that reads a region this op writes).
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n_ops];
-        for (i, lop) in program.ops.iter().enumerate() {
-            for b in consumed_buffers(&lop.op) {
-                match producer[b.0] {
-                    Some(p) => deps[i].push(p),
-                    None => {
-                        return Err(SimError::Program(format!(
-                            "buffer {} consumed but never produced",
-                            program.buffers[b.0].name
-                        )))
-                    }
-                }
-            }
-            let (reads, writes) = region_access(&lop.op);
-            for (j, other) in program.ops.iter().enumerate().take(i) {
-                let (oreads, owrites) = region_access(&other.op);
-                let raw = reads.iter().any(|r| owrites.contains(r));
-                let war = writes.iter().any(|w| oreads.contains(w));
-                let waw = writes.iter().any(|w| owrites.contains(w));
-                if raw || war || waw {
-                    deps[i].push(j);
-                }
-            }
-        }
+        let mut oldest_rank = 0usize;
 
         // ---- dynamic state ----------------------------------------------
         let mut state = vec![OpState::Waiting; n_ops];
         let mut buffers: Vec<Option<StreamData>> = vec![None; n_bufs];
         let mut buffer_released = vec![false; n_bufs];
-        let mut consumers_left: Vec<usize> = consumers.iter().map(|c| c.len()).collect();
+        let mut consumers_left = consumers.clone();
         let mut srf = SrfAllocator::new(&self.cfg);
         let mut sdr = SdrFile::new(self.cfg.stream_descriptor_registers);
         // SDRs held by memory op i awaiting a late (naive-policy) release:
@@ -532,6 +543,11 @@ impl StreamProcessor {
         let mut now: u64 = 0;
         let mut done_count = 0usize;
         let mut sdr_stall_cycles = 0u64;
+        // Every op before `first_open` is done; `running` holds `(op, end)`
+        // for the ops issued but not yet completed (at most one per unit
+        // unless an op costs zero cycles).
+        let mut first_open = 0usize;
+        let mut running: Vec<(usize, u64)> = Vec::new();
 
         // Release a buffer's SRF space and any naive-policy SDRs parked
         // on it.
@@ -555,6 +571,7 @@ impl StreamProcessor {
                 let i: usize = $i;
                 state[i] = OpState::Done { end: $end };
                 done_count += 1;
+                strip_left[strip_rank[i]] -= 1;
                 // Consumption bookkeeping: each buffer this op consumed
                 // loses one consumer; at zero the buffer dies.
                 for b in consumed_buffers(&program.ops[i].op) {
@@ -565,7 +582,7 @@ impl StreamProcessor {
                 }
                 // Buffers produced but never consumed die immediately.
                 for b in produced_buffers(&program.ops[i].op) {
-                    if consumers[b.0].is_empty() {
+                    if consumers[b.0] == 0 {
                         release_buffer!(b.0, sdr);
                     }
                 }
@@ -579,23 +596,25 @@ impl StreamProcessor {
             let mut started_something = false;
             let mut mem_blocked_on_sdr = false;
 
-            // Oldest strip that still has unfinished work bounds the
-            // prefetch window.
-            let min_incomplete_strip = program
-                .ops
-                .iter()
-                .zip(&state)
-                .filter(|(_, st)| !matches!(st, OpState::Done { .. }))
-                .map(|(op, _)| op.strip)
-                .min()
-                .unwrap_or(usize::MAX);
+            while oldest_rank < strip_left.len() && strip_left[oldest_rank] == 0 {
+                oldest_rank += 1;
+            }
+            let window_end = strip_ids
+                .get(oldest_rank)
+                .map_or(usize::MAX, |s| s.saturating_add(self.strip_lookahead));
 
-            for i in 0..n_ops {
-                if state[i] != OpState::Waiting {
+            // Lowest-index startable op wins. Ops before `first_open` are
+            // done; with non-decreasing strip ids, every op after the
+            // first one past the window is past it too.
+            for i in first_open..n_ops {
+                let lop = &program.ops[i];
+                if lop.strip > window_end {
+                    if plan.strips_monotone {
+                        break;
+                    }
                     continue;
                 }
-                let lop = &program.ops[i];
-                if lop.strip > min_incomplete_strip.saturating_add(self.strip_lookahead) {
+                if state[i] != OpState::Waiting {
                     continue;
                 }
                 let is_mem = lop.op.is_memory();
@@ -847,6 +866,7 @@ impl StreamProcessor {
 
                 let end = now + cost_cycles;
                 state[i] = OpState::Running { end };
+                running.push((i, end));
                 match &lop.op {
                     StreamOp::Gather { .. } => phases.gather += cost_cycles,
                     StreamOp::Load { .. } => phases.load += cost_cycles,
@@ -884,29 +904,29 @@ impl StreamProcessor {
             }
 
             // Advance time to the next completion.
-            let next = state
-                .iter()
-                .filter_map(|s| match s {
-                    OpState::Running { end } => Some(*end),
-                    _ => None,
-                })
-                .min();
-            match next {
+            match running.iter().map(|&(_, end)| end).min() {
                 Some(t) => {
                     if mem_blocked_on_sdr && mem_free_at <= now {
                         sdr_stall_cycles += t - now;
                     }
                     now = t;
-                    // Complete everything ending at or before `now`.
-                    for i in 0..n_ops {
-                        if let OpState::Running { end } = state[i] {
-                            if end <= now {
-                                if releases_at_completion[i] {
-                                    sdr.release();
-                                }
-                                complete_op!(i, end);
+                    // Complete everything ending at or before `now`, in
+                    // ascending op index.
+                    running.sort_unstable();
+                    let mut still_running = Vec::with_capacity(running.len());
+                    for &(i, end) in &running {
+                        if end <= now {
+                            if releases_at_completion[i] {
+                                sdr.release();
                             }
+                            complete_op!(i, end);
+                        } else {
+                            still_running.push((i, end));
                         }
+                    }
+                    running = still_running;
+                    while first_open < n_ops && matches!(state[first_open], OpState::Done { .. }) {
+                        first_open += 1;
                     }
                 }
                 None => {
@@ -935,6 +955,87 @@ impl StreamProcessor {
     }
 }
 
+/// The static half of the scoreboard, computed once per program.
+pub(crate) struct Plan {
+    /// Ops each op waits on (see [`op_dependences`]).
+    pub(crate) deps: Vec<Vec<usize>>,
+    /// Strip ids never decrease in op order, so the issue scan may stop
+    /// at the first op past the lookahead window.
+    pub(crate) strips_monotone: bool,
+}
+
+impl Plan {
+    pub(crate) fn new(program: &StreamProgram) -> Result<Self, SimError> {
+        Ok(Self {
+            deps: op_dependences(program)?,
+            strips_monotone: program.ops.windows(2).all(|w| w[0].strip <= w[1].strip),
+        })
+    }
+}
+
+/// Op-level dependences in one pass over the program: the producer of
+/// every buffer an op consumes, plus region hazards tracked per region
+/// as the last writer and the readers since that write. A read depends
+/// on the last writer (RAW); a write on the last writer (WAW) and on
+/// every read since it (WAR). Each access adds at most one RAW/WAW edge
+/// and each read at most one WAR edge, so the edge count is linear in
+/// ops.
+///
+/// These edges have the same transitive closure as the all-pairs hazard
+/// relation (every earlier op with a RAW, WAR or WAW conflict). An op
+/// issues only once its dependences are done, so a done dependence
+/// implies its own dependences finished no later; both relations
+/// therefore make the same ops ready at every scoreboard step.
+pub(crate) fn op_dependences(program: &StreamProgram) -> Result<Vec<Vec<usize>>, SimError> {
+    let mut producer: Vec<Option<usize>> = vec![None; program.buffers.len()];
+    for (i, lop) in program.ops.iter().enumerate() {
+        for b in produced_buffers(&lop.op) {
+            if producer[b.0].replace(i).is_some() {
+                return Err(SimError::Program(format!(
+                    "buffer {} has two producers",
+                    program.buffers[b.0].name
+                )));
+            }
+        }
+    }
+    let n_regions = program
+        .ops
+        .iter()
+        .filter_map(|lop| lop.op.region_use())
+        .map(|(r, _)| r.0 + 1)
+        .max()
+        .unwrap_or(0);
+    let mut last_writer: Vec<Option<usize>> = vec![None; n_regions];
+    let mut readers: Vec<Vec<usize>> = vec![Vec::new(); n_regions];
+    let mut deps: Vec<Vec<usize>> = Vec::with_capacity(program.ops.len());
+    for (i, lop) in program.ops.iter().enumerate() {
+        let mut d = Vec::new();
+        for b in consumed_buffers(&lop.op) {
+            match producer[b.0] {
+                Some(p) => d.push(p),
+                None => {
+                    return Err(SimError::Program(format!(
+                        "buffer {} consumed but never produced",
+                        program.buffers[b.0].name
+                    )))
+                }
+            }
+        }
+        if let Some((region, kind)) = lop.op.region_use() {
+            let r = region.0;
+            d.extend(last_writer[r]);
+            if kind == AccessKind::Read {
+                readers[r].push(i);
+            } else {
+                d.append(&mut readers[r]);
+                last_writer[r] = Some(i);
+            }
+        }
+        deps.push(d);
+    }
+    Ok(deps)
+}
+
 /// Buffers an op produces.
 pub fn produced_buffers(op: &StreamOp) -> Vec<BufferId> {
     match op {
@@ -950,17 +1051,6 @@ fn consumed_buffers(op: &StreamOp) -> Vec<BufferId> {
         StreamOp::Kernel { inputs, .. } => inputs.clone(),
         StreamOp::ScatterAdd { src, .. } | StreamOp::Store { src, .. } => vec![*src],
         _ => vec![],
-    }
-}
-
-/// (regions read, regions written)
-fn region_access(op: &StreamOp) -> (Vec<usize>, Vec<usize>) {
-    match op {
-        StreamOp::Gather { region, .. } | StreamOp::Load { region, .. } => (vec![region.0], vec![]),
-        StreamOp::ScatterAdd { region, .. } | StreamOp::Store { region, .. } => {
-            (vec![], vec![region.0])
-        }
-        StreamOp::Kernel { .. } => (vec![], vec![]),
     }
 }
 
@@ -1007,7 +1097,7 @@ pub fn buffer_capacity_words(program: &StreamProgram, op: &StreamOp, b: BufferId
 mod tests {
     use super::*;
     use crate::kernelc::{CompiledKernel, KernelOpt};
-    use crate::program::ProgramBuilder;
+    use crate::program::{ProgramBuilder, RegionId};
     use merrimac_kernel::ir::StreamMode;
     use merrimac_kernel::KernelBuilder;
     use std::sync::Arc;
@@ -1246,7 +1336,234 @@ mod tests {
             naive.cycles
         );
         // Both policies must compute identical results.
-        use crate::program::RegionId;
         assert_eq!(m1.data(RegionId(1)), m2.data(RegionId(1)));
+    }
+
+    /// The all-pairs hazard relation [`op_dependences`] reduces: buffer
+    /// producers plus every earlier op with a RAW, WAR or WAW conflict.
+    fn all_pairs_dependences(program: &StreamProgram) -> Vec<Vec<usize>> {
+        let mut producer = vec![usize::MAX; program.buffers.len()];
+        for (i, lop) in program.ops.iter().enumerate() {
+            for b in produced_buffers(&lop.op) {
+                producer[b.0] = i;
+            }
+        }
+        let access = |op: &StreamOp| match op.region_use() {
+            Some((r, AccessKind::Read)) => (Some(r.0), None),
+            Some((r, _)) => (None, Some(r.0)),
+            None => (None, None),
+        };
+        let mut deps = vec![Vec::new(); program.ops.len()];
+        for (i, lop) in program.ops.iter().enumerate() {
+            for b in consumed_buffers(&lop.op) {
+                deps[i].push(producer[b.0]);
+            }
+            let (read, write) = access(&lop.op);
+            for (j, other) in program.ops.iter().enumerate().take(i) {
+                let (oread, owrite) = access(&other.op);
+                let raw = read.is_some() && read == owrite;
+                let war = write.is_some() && write == oread;
+                let waw = write.is_some() && write == owrite;
+                if raw || war || waw {
+                    deps[i].push(j);
+                }
+            }
+        }
+        deps
+    }
+
+    /// Transitive closure of a dependence relation whose edges all point
+    /// to earlier ops: `closure[i][j]` iff op `i` transitively waits on `j`.
+    fn closure(deps: &[Vec<usize>]) -> Vec<Vec<bool>> {
+        let mut reach: Vec<Vec<bool>> = Vec::with_capacity(deps.len());
+        for (i, ds) in deps.iter().enumerate() {
+            let mut row = vec![false; deps.len()];
+            for &d in ds {
+                assert!(d < i, "dependence {i} -> {d} points forward");
+                row[d] = true;
+                for (j, r) in reach[d].iter().enumerate() {
+                    row[j] |= r;
+                }
+            }
+            reach.push(row);
+        }
+        reach
+    }
+
+    /// A random program over three one-word-record regions: groups of
+    /// read (load/gather) → optional square kernel → sink (scatter-add/
+    /// store). Group `g` runs in strip `g + jitter`, so strip ids are
+    /// usually non-monotone; SDR count, policy and lookahead vary too.
+    fn random_program(seed: u64) -> (StreamProcessor, Memory, StreamProgram) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let cfg = MachineConfig {
+            stream_descriptor_registers: rng.gen_range(1..5),
+            ..MachineConfig::default()
+        };
+        let policy = if rng.gen_range(0..2) == 0 {
+            SdrPolicy::Eager
+        } else {
+            SdrPolicy::Naive
+        };
+        let k = square_kernel(&cfg, KernelOpt::default());
+        let words = 48usize;
+        let mut mem = Memory::new();
+        let regions: Vec<_> = (0..3)
+            .map(|r| {
+                mem.region(
+                    &format!("r{r}"),
+                    (0..words).map(|i| (i + r) as f64).collect(),
+                )
+            })
+            .collect();
+        let mut pb = ProgramBuilder::new();
+        for g in 0..rng.gen_range(1..14) {
+            pb.strip(g + rng.gen_range(0..3));
+            let n = rng.gen_range(1..12usize);
+            let src = regions[rng.gen_range(0..3)];
+            let bx = pb.buffer(&format!("x{g}"), 1);
+            if rng.gen_range(0..2) == 0 {
+                pb.load(
+                    format!("load {g}"),
+                    src,
+                    1,
+                    rng.gen_range(0..words - n + 1),
+                    n,
+                    bx,
+                );
+            } else {
+                let idx: Vec<u32> = (0..n).map(|_| rng.gen_range(0..words as u32)).collect();
+                pb.gather(format!("gather {g}"), src, 1, Arc::new(idx), bx);
+            }
+            let out = if rng.gen_range(0..3) == 0 {
+                bx
+            } else {
+                let by = pb.buffer(&format!("y{g}"), 1);
+                pb.kernel(
+                    format!("kernel {g}"),
+                    k.clone(),
+                    vec![bx],
+                    vec![by],
+                    vec![],
+                    n as u64,
+                    (n as u64).div_ceil(16),
+                );
+                by
+            };
+            let dst = regions[rng.gen_range(0..3)];
+            if rng.gen_range(0..2) == 0 {
+                let idx: Vec<u32> = (0..n).map(|_| rng.gen_range(0..words as u32)).collect();
+                pb.scatter_add(format!("scatter {g}"), out, dst, 1, Arc::new(idx));
+            } else {
+                pb.store(
+                    format!("store {g}"),
+                    out,
+                    dst,
+                    1,
+                    rng.gen_range(0..words - n + 1),
+                );
+            }
+        }
+        let mut proc = StreamProcessor::new(cfg).with_policy(policy);
+        proc.strip_lookahead = rng.gen_range(1..4);
+        (proc, mem, pb.build())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(300))]
+
+        /// The linear dependences have the all-pairs relation's closure,
+        /// and replaying a program with them (and the window-bounded
+        /// issue scan) matches replaying it with the all-pairs relation
+        /// and a full scan: same timeline, counters, peaks, stalls,
+        /// region data, or the same error.
+        #[test]
+        fn prop_linear_dependences_match_all_pairs_oracle(seed in 0u64..u64::MAX) {
+            let (proc, mem, program) = random_program(seed);
+            let linear = Plan::new(&program).expect("well-formed");
+            let oracle = all_pairs_dependences(&program);
+            proptest::prop_assert!(closure(&linear.deps) == closure(&oracle));
+            let run = |plan: &Plan| {
+                let mut m = mem.clone();
+                let r = proc.schedule_with(&mut m, &program, ExecMode::Inline, plan);
+                let data: Vec<Vec<u64>> = (0..m.num_regions())
+                    .map(|r| m.data(RegionId(r)).iter().map(|v| v.to_bits()).collect())
+                    .collect();
+                (r, data)
+            };
+            let (fast, fast_data) = run(&linear);
+            let (slow, slow_data) = run(&Plan {
+                deps: oracle,
+                strips_monotone: false,
+            });
+            match (fast, slow) {
+                (Ok(a), Ok(b)) => {
+                    proptest::prop_assert_eq!(&a.timeline, &b.timeline);
+                    proptest::prop_assert_eq!(a.counters, b.counters);
+                    proptest::prop_assert_eq!(a.phases, b.phases);
+                    proptest::prop_assert_eq!(
+                        (a.sdr_peak, a.srf_peak_words_per_cluster, a.sdr_stall_cycles),
+                        (b.sdr_peak, b.srf_peak_words_per_cluster, b.sdr_stall_cycles)
+                    );
+                    proptest::prop_assert_eq!(a.cache_stats, b.cache_stats);
+                    proptest::prop_assert!(fast_data == slow_data);
+                }
+                (Err(a), Err(b)) => proptest::prop_assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => proptest::prop_assert!(false, "outcomes differ: {a:?} vs {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn dependence_edges_stay_linear_in_ops() {
+        // 2000 strips, each gathering a shared table, squaring, scatter-
+        // adding into one accumulator and storing its own output slice.
+        // All-pairs hazards would give every scatter-add and store an
+        // edge to each earlier one (~4M edges); the linear build keeps
+        // one WAW edge per write.
+        let cfg = MachineConfig::default();
+        let k = square_kernel(&cfg, KernelOpt::default());
+        let (strips, n) = (2000usize, 4usize);
+        let mut mem = Memory::new();
+        let xs = mem.region("xs", vec![1.0; n]);
+        let acc = mem.region("acc", vec![0.0; n]);
+        let out = mem.region("out", vec![0.0; strips * n]);
+        let mut pb = ProgramBuilder::new();
+        for strip in 0..strips {
+            pb.strip(strip);
+            let bx = pb.buffer(&format!("x{strip}"), 1);
+            let by = pb.buffer(&format!("y{strip}"), 1);
+            pb.gather(
+                format!("gather {strip}"),
+                xs,
+                1,
+                Arc::new(vec![0, 1, 2, 3]),
+                bx,
+            );
+            pb.kernel(
+                format!("kernel {strip}"),
+                k.clone(),
+                vec![bx],
+                vec![by],
+                vec![],
+                4,
+                1,
+            );
+            pb.scatter_add(
+                format!("scatter {strip}"),
+                by,
+                acc,
+                1,
+                Arc::new(vec![0, 1, 2, 3]),
+            );
+            pb.store(format!("store {strip}"), by, out, 1, strip * n);
+        }
+        let program = pb.build();
+        let plan = Plan::new(&program).expect("well-formed");
+        assert!(plan.strips_monotone);
+        let edges: usize = plan.deps.iter().map(Vec::len).sum();
+        let ops = program.ops.len();
+        assert!(edges <= 2 * ops, "{edges} dependence edges for {ops} ops");
     }
 }

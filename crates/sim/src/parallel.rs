@@ -42,10 +42,16 @@
 //!
 //! 1. the per-strip map is order-preserving and each strip's execution
 //!    is pure given the (read-only) input regions;
-//! 2. scatter-add contributions are accumulated into per-strip overlay
-//!    buffers and merged by a *fixed-shape* pairwise tree over strip
-//!    index — the tree's shape depends only on the strip count, never
-//!    on the worker count or completion order;
+//! 2. scatter-add contributions are accumulated into per-strip overlays
+//!    and merged by a *fixed-shape* pairwise tree over strip index —
+//!    the tree's shape depends only on the strip count, never on the
+//!    worker count or completion order. An overlay is chunked: a strip
+//!    allocates a 512-word chunk, at +0.0, only when it first touches
+//!    it. An absent chunk stands for +0.0 words, and skipping it is
+//!    bitwise-neutral: every accumulator starts at +0.0, and a sum that
+//!    starts at +0.0 is never −0.0, so `x + 0.0 == x` holds for every
+//!    present word. The final add into the base region still applies
+//!    `+= 0.0` to untouched words, since a base region may hold −0.0;
 //! 3. each strip's memory ops are costed in op-index order against a
 //!    private cold [`MemSystem`] shard ([`MemSystem::strip_shard`]), so
 //!    a strip's costs are a pure function of its own address trace;
@@ -578,8 +584,8 @@ struct StripOutcome {
     /// [`crate::memsys::MemOpCost`]).
     records: Vec<(usize, OpRecord)>,
     /// Per-region scatter-add overlays: contributions accumulated into
-    /// a zero-initialized image of the region, in op order.
-    scatter: Vec<(usize, Vec<f64>)>,
+    /// a chunked, zero-initialized image of the region, in op order.
+    scatter: Vec<(usize, Overlay)>,
     /// Sequential stores: `(region, start word, data)`, in op order.
     stores: Vec<(usize, usize, Vec<f64>)>,
     /// Kernel-side counters (SRF/LRF traffic, FLOPs, iterations) this
@@ -615,7 +621,7 @@ impl StreamProcessor {
         threads: usize,
     ) -> Result<RunReport, SimError> {
         // Reject un-runnable programs before burning functional work on
-        // them (the serial path validates inside `schedule`).
+        // them; the scoreboard relies on this single check.
         self.validate_program(program)?;
         let partition = partition_program(program);
         if self.partition_verbose {
@@ -661,7 +667,7 @@ impl StreamProcessor {
         }
         // Scatter overlays, grouped by region in strip order, reduced by
         // a fixed-shape pairwise tree, then added into the base region.
-        let mut by_region: BTreeMap<usize, Vec<Vec<f64>>> = BTreeMap::new();
+        let mut by_region: BTreeMap<usize, Vec<Overlay>> = BTreeMap::new();
         let mut stores: Vec<(usize, usize, Vec<f64>)> = Vec::new();
         for o in outcomes {
             for (region, overlay) in o.scatter {
@@ -671,9 +677,7 @@ impl StreamProcessor {
         }
         for (region, overlays) in by_region {
             let total = pool.install(|| tree_sum(overlays));
-            for (d, v) in memory.data_mut(RegionId(region)).iter_mut().zip(&total) {
-                *d += *v;
-            }
+            total.add_into(memory.data_mut(RegionId(region)));
         }
         for (region, start, data) in stores {
             let dst = memory.data_mut(RegionId(region));
@@ -682,23 +686,22 @@ impl StreamProcessor {
 
         // ---- phase B: serial timing against precomputed results -------
         let mut report = self.schedule(memory, program, ExecMode::Precomputed(&records))?;
-        debug_assert_eq!(
-            (
-                kernel_counters.srf_refs,
-                kernel_counters.lrf_refs,
-                kernel_counters.hardware_flops,
-                kernel_counters.hardware_ops,
-                kernel_counters.kernel_iterations,
-            ),
-            (
-                report.counters.srf_refs,
-                report.counters.lrf_refs,
-                report.counters.hardware_flops,
-                report.counters.hardware_ops,
-                report.counters.kernel_iterations,
-            ),
-            "phase-A kernel counter aggregation must match the scoreboard"
-        );
+        let totals = |c: &Counters| {
+            [
+                c.srf_refs,
+                c.lrf_refs,
+                c.hardware_flops,
+                c.hardware_ops,
+                c.kernel_iterations,
+            ]
+        };
+        let (phase_a, scoreboard) = (totals(&kernel_counters), totals(&report.counters));
+        if phase_a != scoreboard {
+            return Err(SimError::CounterMismatch {
+                phase_a,
+                scoreboard,
+            });
+        }
         report.partition = summary;
         report.cache_stats = cache_stats;
         Ok(report)
@@ -844,16 +847,21 @@ fn exec_strip(
                     Some(p) => p,
                     None => {
                         out.scatter
-                            .push((region.0, vec![0.0; memory.data(*region).len()]));
+                            .push((region.0, Overlay::new(memory.data(*region).len())));
                         out.scatter.len() - 1
                     }
                 };
                 let overlay = &mut out.scatter[pos].1;
                 for (r, &idx) in indices.iter().enumerate() {
-                    let base = idx as usize * *record_len;
-                    for f in 0..*record_len {
-                        overlay[base + f] += data.record(r)[f];
-                    }
+                    overlay
+                        .add_record(idx as usize * *record_len, data.record(r))
+                        .map_err(|word| {
+                            SimError::Program(format!(
+                                "scatter-add '{}': record {idx} (word {word}) is outside \
+                                 region {}",
+                                lop.label, region.0
+                            ))
+                        })?;
                 }
                 let cost = memsys.scatter_add_cost(memory, *region, *record_len, indices);
                 out.records.push((
@@ -895,13 +903,84 @@ fn exec_strip(
     Ok(out)
 }
 
-/// Pairwise tree reduction of equally-sized accumulators. The tree's
-/// shape is a function of `layers.len()` alone, so the result is
+/// Words per scatter-overlay chunk.
+const OVERLAY_CHUNK: usize = 512;
+
+/// One strip's scatter-add contributions to one region: an image of the
+/// region split into [`OVERLAY_CHUNK`]-word chunks, each allocated as
+/// +0.0 on first touch. An absent chunk stands for +0.0 everywhere.
+#[derive(Debug, Clone)]
+struct Overlay {
+    len: usize,
+    chunks: Vec<Option<Box<[f64]>>>,
+}
+
+impl Overlay {
+    fn new(len: usize) -> Self {
+        Self {
+            len,
+            chunks: vec![None; len.div_ceil(OVERLAY_CHUNK)],
+        }
+    }
+
+    /// Accumulate one record at word `base`, resolving each chunk the
+    /// record touches once. `Err(base)` if the record leaves the region.
+    fn add_record(&mut self, base: usize, mut vals: &[f64]) -> Result<(), usize> {
+        if base + vals.len() > self.len {
+            return Err(base);
+        }
+        let mut word = base;
+        while !vals.is_empty() {
+            let (c, off) = (word / OVERLAY_CHUNK, word % OVERLAY_CHUNK);
+            let chunk_len = OVERLAY_CHUNK.min(self.len - c * OVERLAY_CHUNK);
+            let chunk = self.chunks[c].get_or_insert_with(|| vec![0.0; chunk_len].into());
+            let n = vals.len().min(chunk_len - off);
+            for (d, v) in chunk[off..off + n].iter_mut().zip(&vals[..n]) {
+                *d += *v;
+            }
+            vals = &vals[n..];
+            word += n;
+        }
+        Ok(())
+    }
+
+    /// `self += other`, chunk by chunk. Where only one side holds a
+    /// chunk it is taken as is: the absent side is +0.0 and a present
+    /// chunk never holds −0.0, so `x + 0.0 == x` bitwise.
+    fn add(&mut self, other: Overlay) {
+        for (a, b) in self.chunks.iter_mut().zip(other.chunks) {
+            match (a.as_mut(), b) {
+                (Some(a), Some(b)) => {
+                    for (x, y) in a.iter_mut().zip(b.iter()) {
+                        *x += *y;
+                    }
+                }
+                (None, b) => *a = b,
+                (Some(_), None) => {}
+            }
+        }
+    }
+
+    /// `dst += self` over the whole region. Absent chunks still add
+    /// +0.0, which turns a −0.0 in `dst` into +0.0 exactly as a dense
+    /// overlay would.
+    fn add_into(&self, dst: &mut [f64]) {
+        for (d, c) in dst.chunks_mut(OVERLAY_CHUNK).zip(&self.chunks) {
+            match c {
+                Some(c) => d.iter_mut().zip(c.iter()).for_each(|(x, y)| *x += *y),
+                None => d.iter_mut().for_each(|x| *x += 0.0),
+            }
+        }
+    }
+}
+
+/// Pairwise tree reduction of overlays of one region. The tree's shape
+/// is a function of `layers.len()` alone, so the result is
 /// bitwise-identical at every worker count; each level's pair-sums run
 /// in parallel.
-fn tree_sum(mut layers: Vec<Vec<f64>>) -> Vec<f64> {
+fn tree_sum(mut layers: Vec<Overlay>) -> Overlay {
     while layers.len() > 1 {
-        let mut pairs: Vec<(Vec<f64>, Option<Vec<f64>>)> = Vec::new();
+        let mut pairs: Vec<(Overlay, Option<Overlay>)> = Vec::new();
         let mut it = layers.into_iter();
         while let Some(a) = it.next() {
             pairs.push((a, it.next()));
@@ -910,15 +989,13 @@ fn tree_sum(mut layers: Vec<Vec<f64>>) -> Vec<f64> {
             .into_par_iter()
             .map(|(mut a, b)| {
                 if let Some(b) = b {
-                    for (x, y) in a.iter_mut().zip(&b) {
-                        *x += *y;
-                    }
+                    a.add(b);
                 }
                 a
             })
             .collect();
     }
-    layers.pop().unwrap_or_default()
+    layers.pop().unwrap_or_else(|| Overlay::new(0))
 }
 
 #[cfg(test)]
@@ -1392,23 +1469,84 @@ mod tests {
         assert_eq!(FallbackKind::from_code("nonsense"), None);
     }
 
+    /// The dense reduction the chunked overlays replace: full-region
+    /// accumulators summed by the same fixed-shape pairwise tree.
+    fn dense_tree_sum(mut layers: Vec<Vec<f64>>) -> Vec<f64> {
+        while layers.len() > 1 {
+            layers = layers
+                .chunks(2)
+                .map(|pair| match pair {
+                    [a, b] => a.iter().zip(b).map(|(x, y)| x + y).collect(),
+                    _ => pair[0].clone(),
+                })
+                .collect();
+        }
+        layers.pop().unwrap_or_default()
+    }
+
     #[test]
     fn tree_sum_shape_is_width_independent() {
-        let layers: Vec<Vec<f64>> = (0..7)
-            .map(|s| {
-                (0..50)
-                    .map(|i| ((s * 50 + i) as f64).sin() * 1e-3)
-                    .collect()
-            })
+        // 7 strips over a region of 3 full chunks plus a partial one,
+        // 3-word records so some straddle chunk boundaries. Strip `s`
+        // leaves chunk `c` absent when `(s + c) % 3 == 0`, no strip
+        // touches chunk 1, and each strip's first record is added and
+        // then cancelled, leaving an exact +0.0.
+        let len = 3 * OVERLAY_CHUNK + 100;
+        let records = len / 3;
+        let mut overlays = Vec::new();
+        let mut dense = Vec::new();
+        for s in 0..7usize {
+            let mut overlay = Overlay::new(len);
+            let mut image = vec![0.0; len];
+            let touched: Vec<usize> = (0..records)
+                .filter(|r| {
+                    let (first, last) = (r * 3 / OVERLAY_CHUNK, (r * 3 + 2) / OVERLAY_CHUNK);
+                    [first, last].iter().all(|c| *c != 1 && (s + c) % 3 != 0)
+                })
+                .collect();
+            for (k, &r) in touched.iter().enumerate() {
+                let v = [1.0, 2.0, 3.0].map(|f| ((s * records + r) as f64 * f).sin() * 1e-3);
+                let vals: Vec<[f64; 3]> = if k == 0 {
+                    vec![v, v.map(|x| -x)]
+                } else {
+                    vec![v]
+                };
+                for vals in vals {
+                    overlay.add_record(r * 3, &vals).unwrap();
+                    for (d, x) in image[r * 3..r * 3 + 3].iter_mut().zip(vals) {
+                        *d += x;
+                    }
+                }
+            }
+            assert!(overlay.chunks.iter().any(Option::is_none));
+            overlays.push(overlay);
+            dense.push(image);
+        }
+        // A base region holding −0.0, which must become +0.0 wherever
+        // the dense sum adds its +0.0 words.
+        let base: Vec<f64> = (0..len)
+            .map(|i| if i % 5 == 0 { -0.0 } else { i as f64 * 0.25 })
             .collect();
-        let expect = tree_sum(layers.clone());
+        let mut expect = base.clone();
+        for (d, v) in expect.iter_mut().zip(dense_tree_sum(dense)) {
+            *d += v;
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         for threads in [1usize, 2, 4, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let got = pool.install(|| tree_sum(layers.clone()));
-            assert_eq!(expect, got, "tree_sum diverged at {threads} threads");
+            let total = pool.install(|| tree_sum(overlays.clone()));
+            assert!(total.chunks[1].is_none());
+            let mut got = base.clone();
+            total.add_into(&mut got);
+            assert_eq!(
+                bits(&expect),
+                bits(&got),
+                "chunked tree_sum diverged from the dense sum at {threads} threads"
+            );
         }
+        assert!(Overlay::new(len).add_record(len - 2, &[1.0; 3]).is_err());
     }
 }
