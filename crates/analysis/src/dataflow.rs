@@ -64,19 +64,23 @@ impl Interval {
         }
     }
 
-    /// Pointwise sum (saturating).
-    pub fn add(self, other: Interval) -> Interval {
-        Interval {
-            lo: self.lo.saturating_add(other.lo),
-            hi: self.hi.saturating_add(other.hi),
-        }
-    }
-
     /// Scale by an iteration count (saturating).
     pub fn scale(self, k: usize) -> Interval {
         Interval {
             lo: self.lo.saturating_mul(k),
             hi: self.hi.saturating_mul(k),
+        }
+    }
+}
+
+/// Pointwise sum (saturating).
+impl std::ops::Add for Interval {
+    type Output = Interval;
+
+    fn add(self, other: Interval) -> Interval {
+        Interval {
+            lo: self.lo.saturating_add(other.lo),
+            hi: self.hi.saturating_add(other.hi),
         }
     }
 }
@@ -173,10 +177,9 @@ pub fn region_accesses(program: &StreamProgram) -> BTreeMap<usize, Vec<RegionAcc
                 indices,
                 ..
             } => match (indices.iter().min(), indices.iter().max()) {
-                (Some(&lo), Some(&hi)) => (
-                    lo as usize * record_len,
-                    (hi as usize + 1) * record_len,
-                ),
+                (Some(&lo), Some(&hi)) => {
+                    (lo as usize * record_len, (hi as usize + 1) * record_len)
+                }
                 _ => (0, 0),
             },
             StreamOp::Load {
@@ -298,7 +301,7 @@ mod tests {
         let a = Interval::new(1, 3);
         let b = Interval::exact(5);
         assert_eq!(a.join(b), Interval::new(1, 5));
-        assert_eq!(a.add(b), Interval::new(6, 8));
+        assert_eq!(a + b, Interval::new(6, 8));
         assert_eq!(a.scale(4), Interval::new(4, 12));
         assert_eq!(Interval::exact(usize::MAX).scale(2).hi, usize::MAX);
     }

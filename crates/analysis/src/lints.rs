@@ -272,11 +272,6 @@ impl Lint {
                  engines would stop at the reported iteration with a\n\
                  `StreamUnderrun` error.\n\
                  \n\
-                 The same analysis, run in the other direction, produces a static\n\
-                 underrun-freedom proof: when every stream's worst-case demand is\n\
-                 covered, the proof object is stamped on the program and the tape and\n\
-                 batch engines skip their runtime underrun checks for that launch.\n\
-                 \n\
                  Fix a flagged launch by sizing the producer (gather index list or\n\
                  load record count) to at least the iteration count, or by reducing\n\
                  the launch's iterations to what the buffer holds."

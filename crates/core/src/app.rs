@@ -172,8 +172,24 @@ impl StreamMdApp {
         ))
     }
 
+    /// Reject a `system` whose box is too small for this app's
+    /// neighbour list: cutoff + skin must be at most half the box edge,
+    /// or the minimum image is ambiguous.
+    pub(crate) fn check_box(&self, system: &WaterBox) -> Result<(), SimError> {
+        let side = system.pbc().side();
+        if self.neighbor.fits_box(side) {
+            return Ok(());
+        }
+        Err(SimError::Config(format!(
+            "cutoff+skin {} is more than half the box edge {side}; the minimum image \
+             would be ambiguous (use a larger box or a smaller cutoff)",
+            self.neighbor.list_radius()
+        )))
+    }
+
     /// Run one force step of `variant` over `system`.
     pub fn run_step(&self, system: &WaterBox, variant: Variant) -> Result<StepOutcome, SimError> {
+        self.check_box(system)?;
         let list = NeighborList::build(system, self.neighbor);
         self.run_step_with_list(system, &list, variant)
     }
@@ -235,12 +251,8 @@ impl StreamMdApp {
                 ),
             }
         }
-        // Stamp static underrun proofs so the functional engines run
-        // their check-elided fast paths wherever safety is provable.
-        let mut program = pb.build();
-        program.underrun_proofs = program.prove_underruns();
         StepProgram {
-            program,
+            program: pb.build(),
             memory: mem,
             layout,
             forces,

@@ -132,6 +132,7 @@ impl MerrimacDriver {
     /// Run `steps` MD steps, returning the trajectory report. The system
     /// is advanced in place.
     pub fn run(&self, system: &mut WaterBox, steps: usize) -> Result<DriverReport, SimError> {
+        self.app.check_box(system)?;
         // Reuse the scalar-side integrator mechanics for constraints by
         // delegating the position/velocity updates to a private Verlet
         // implementation mirroring `md_sim::integrate`.

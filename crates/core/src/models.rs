@@ -300,7 +300,7 @@ pub fn run_multisite_step(
         );
     }
     let program = pb.build();
-    let report = StreamProcessor::new(cfg.clone()).run(&mut mem, &program)?;
+    let report = StreamProcessor::new(cfg.clone()).run_parallel(&mut mem, &program, 1)?;
 
     let raw = mem.data(forces);
     let out_forces: Vec<Vec3> = (0..n * ns)

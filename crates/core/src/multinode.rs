@@ -209,7 +209,7 @@ pub fn run_multinode_program(
         let (compute_cycles, forces) = if strips.is_empty() {
             (0, vec![0.0; step.layout.force_records * w])
         } else {
-            let mut sub = StreamProgram {
+            let sub = StreamProgram {
                 buffers: step.program.buffers.clone(),
                 ops: step
                     .program
@@ -219,11 +219,7 @@ pub fn run_multinode_program(
                     .cloned()
                     .collect(),
                 intents: step.program.intents.clone(),
-                underrun_proofs: Default::default(),
             };
-            // Filtering renumbers ops, so the parent's proofs (keyed by
-            // op index) do not transfer; re-prove the sub-program.
-            sub.underrun_proofs = sub.prove_underruns();
             let mut mem = step.memory.clone();
             let report = proc.run_parallel(&mut mem, &sub, app.threads)?;
             (report.cycles, mem.data(step.forces).to_vec())

@@ -51,6 +51,13 @@ impl NeighborListParams {
     pub fn list_radius(&self) -> f64 {
         self.cutoff + self.skin
     }
+
+    /// Does the list radius fit a cubic box of edge `side` under the
+    /// minimum-image convention (at most half the box)?
+    /// [`NeighborList::build`] requires it.
+    pub fn fits_box(&self, side: f64) -> bool {
+        self.list_radius() * 2.0 <= side + 1e-12
+    }
 }
 
 /// Neighbours of one central molecule under one periodic shift.
@@ -93,7 +100,7 @@ impl NeighborList {
         let pbc = system.pbc();
         let radius = params.list_radius();
         assert!(
-            radius * 2.0 <= pbc.side() + 1e-12,
+            params.fits_box(pbc.side()),
             "cutoff+skin {radius} too large for box {}; minimum image would be ambiguous",
             pbc.side()
         );

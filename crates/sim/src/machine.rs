@@ -17,7 +17,7 @@ use crate::cache::CacheAccessStats;
 use crate::counters::{Counters, PhaseCycles};
 use crate::memsys::{MemOpCost, MemSystem};
 use crate::parallel::PartitionSummary;
-use crate::program::{AccessKind, BufferId, Memory, StreamOp, StreamProgram};
+use crate::program::{AccessKind, BufferId, Memory, RegionId, StreamOp, StreamProgram};
 use crate::sdr::{SdrFile, SdrPolicy};
 use crate::srf::SrfAllocator;
 use crate::timeline::{Timeline, Unit};
@@ -246,7 +246,6 @@ pub(crate) fn kernel_functional(
     iterations: u64,
     engine: KernelEngine,
     batch: BatchWidth,
-    proof: Option<&merrimac_kernel::UnderrunProof>,
 ) -> Result<(Vec<StreamData>, u64), SimError> {
     let unroll = kernel.opt.unroll as u64;
     if !iterations.is_multiple_of(unroll) {
@@ -282,28 +281,14 @@ pub(crate) fn kernel_functional(
         shaped
     };
     let unrolled_iters = iterations / unroll;
-    // A static underrun proof routes the tape engines through their
-    // check-elided entry points; a stale proof falls back to the
-    // checked path inside those entry points, so results (and errors)
-    // are bitwise-identical either way.
-    let out = match (engine, proof) {
-        (KernelEngine::Batch, Some(p)) => {
-            kernel
-                .tape
-                .run_batched_proven(&shaped, params, unrolled_iters as usize, batch, p)?
-        }
-        (KernelEngine::Batch, None) => {
+    let out = match engine {
+        KernelEngine::Batch => {
             kernel
                 .tape
                 .run_batched(&shaped, params, unrolled_iters as usize, batch)?
         }
-        (KernelEngine::Tape, Some(p)) => {
-            kernel
-                .tape
-                .run_proven(&shaped, params, unrolled_iters as usize, p)?
-        }
-        (KernelEngine::Tape, None) => kernel.tape.run(&shaped, params, unrolled_iters as usize)?,
-        (KernelEngine::Interp, _) => {
+        KernelEngine::Tape => kernel.tape.run(&shaped, params, unrolled_iters as usize)?,
+        KernelEngine::Interp => {
             Interpreter::new(&kernel.ir).run(&shaped, params, unrolled_iters as usize)?
         }
     };
@@ -315,6 +300,58 @@ pub(crate) fn kernel_functional(
         srf_words += o.data.len() as u64;
     }
     Ok((out.outputs, srf_words))
+}
+
+/// The word range a store of `len` words at word `start` writes in
+/// `region`, or a typed error when it leaves the region.
+pub(crate) fn store_range(
+    label: &str,
+    memory: &Memory,
+    region: RegionId,
+    start: usize,
+    len: usize,
+) -> Result<std::ops::Range<usize>, SimError> {
+    if region.0 >= memory.num_regions() {
+        return Err(SimError::Program(format!(
+            "store '{label}': region {} is outside memory ({} regions)",
+            region.0,
+            memory.num_regions()
+        )));
+    }
+    let words = memory.data(region).len();
+    if start.saturating_add(len) > words {
+        return Err(SimError::Program(format!(
+            "store '{label}': words {start}..{} are outside region {} ({words} words)",
+            start.saturating_add(len),
+            region.0
+        )));
+    }
+    Ok(start..start + len)
+}
+
+/// A scatter-add's source must hold one record of the op's
+/// `record_len` per index; anything else is a typed program error
+/// rather than a short or misaligned read.
+pub(crate) fn check_scatter_source(
+    label: &str,
+    data: &StreamData,
+    record_len: usize,
+    indices: &[u32],
+) -> Result<(), SimError> {
+    if data.record_len != record_len {
+        return Err(SimError::Program(format!(
+            "scatter-add '{label}': source records are {} words, op records are {record_len}",
+            data.record_len
+        )));
+    }
+    if data.num_records() != indices.len() {
+        return Err(SimError::Program(format!(
+            "scatter-add '{label}': {} records vs {} indices",
+            data.num_records(),
+            indices.len()
+        )));
+    }
+    Ok(())
 }
 
 /// Default [`StreamProcessor::strip_lookahead`]: one strip of prefetch,
@@ -334,11 +371,6 @@ pub struct StreamProcessor {
     /// lookahead can deadlock the SRF allocator, exactly the hazard
     /// static stream scheduling exists to prevent.
     pub strip_lookahead: usize,
-    /// Print the strip partitioner's report (read-shared/owned/reduce
-    /// regions, or the typed fallback reason) to stderr before each run.
-    /// Defaults from the `MERRIMAC_PARTITION_VERBOSE` environment
-    /// variable.
-    pub partition_verbose: bool,
     /// Which functional engine executes kernel dataflow graphs.
     /// Defaults from the `MERRIMAC_KERNEL_ENGINE` environment variable
     /// (batch unless set to `tape` or `interp`). Simulated results are
@@ -365,9 +397,6 @@ impl StreamProcessor {
             costs: OpCosts::default(),
             policy: SdrPolicy::Eager,
             strip_lookahead: DEFAULT_STRIP_LOOKAHEAD,
-            partition_verbose: std::env::var("MERRIMAC_PARTITION_VERBOSE")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false),
             kernel_engine: KernelEngine::from_env(),
             tape_batch: BatchWidth::from_env(),
         }
@@ -395,17 +424,6 @@ impl StreamProcessor {
     pub fn with_costs(mut self, costs: OpCosts) -> Self {
         self.costs = costs;
         self
-    }
-
-    /// Execute `program` against `memory`, mutating regions written by
-    /// scatter-add/store ops.
-    ///
-    /// Routes through the same partition-aware engine as
-    /// [`StreamProcessor::run_parallel`] with one host thread, so a
-    /// program's cycles and counters depend only on whether it is
-    /// partitionable — never on which entry point ran it.
-    pub fn run(&self, memory: &mut Memory, program: &StreamProgram) -> Result<RunReport, SimError> {
-        self.run_with_threads(memory, program, 1)
     }
 
     /// Preflight: reject programs the scoreboard can never complete.
@@ -469,6 +487,60 @@ impl StreamProcessor {
                         capacity_words_per_cluster: self.cfg.srf_words_per_cluster,
                     });
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Reject region accesses that leave their region, against the
+    /// memory the program is about to run on: every gather and
+    /// scatter-add index and every load's record range must lie inside
+    /// the region. Checked once per run, so neither the serial
+    /// scoreboard nor the per-strip executors index out of bounds.
+    /// (A store's extent depends on its source buffer's run-time length
+    /// and is checked where it is applied, by [`store_range`].)
+    pub(crate) fn check_region_bounds(
+        &self,
+        program: &StreamProgram,
+        memory: &Memory,
+    ) -> Result<(), SimError> {
+        for lop in &program.ops {
+            let (region, record_len, end) = match &lop.op {
+                StreamOp::Gather {
+                    region,
+                    record_len,
+                    indices,
+                    ..
+                }
+                | StreamOp::ScatterAdd {
+                    region,
+                    record_len,
+                    indices,
+                    ..
+                } => (
+                    *region,
+                    *record_len,
+                    indices.iter().max().map_or(0, |&m| m as usize + 1),
+                ),
+                StreamOp::Load {
+                    region,
+                    record_len,
+                    start,
+                    records,
+                    ..
+                } => (*region, *record_len, start.saturating_add(*records)),
+                StreamOp::Kernel { .. } | StreamOp::Store { .. } => continue,
+            };
+            let words = (region.0 < memory.num_regions()).then(|| memory.data(region).len());
+            if words.is_none_or(|w| end.saturating_mul(record_len) > w) {
+                return Err(SimError::Program(format!(
+                    "{} '{}': record {} is outside region {} ({} words)",
+                    lop.op.mnemonic(),
+                    lop.label,
+                    end.saturating_sub(1),
+                    region.0,
+                    words.unwrap_or(0)
+                )));
             }
         }
         Ok(())
@@ -740,14 +812,7 @@ impl StreamProcessor {
                                 .as_ref()
                                 .expect("scatter-add source produced")
                                 .clone();
-                            if data.num_records() != indices.len() {
-                                return Err(SimError::Program(format!(
-                                    "scatter-add '{}': {} records vs {} indices",
-                                    lop.label,
-                                    data.num_records(),
-                                    indices.len()
-                                )));
-                            }
+                            check_scatter_source(&lop.label, &data, *record_len, indices)?;
                             let dst = memory.data_mut(*region);
                             for (r, &idx) in indices.iter().enumerate() {
                                 let base = idx as usize * *record_len;
@@ -783,9 +848,14 @@ impl StreamProcessor {
                                     .expect("store source produced")
                                     .clone();
                                 let records = data.num_records();
-                                let dst = memory.data_mut(*region);
-                                let s = start * record_len;
-                                dst[s..s + records * record_len].copy_from_slice(&data.data);
+                                let words = store_range(
+                                    &lop.label,
+                                    memory,
+                                    *region,
+                                    start * record_len,
+                                    data.data.len(),
+                                )?;
+                                memory.data_mut(*region)[words].copy_from_slice(&data.data);
                                 memsys.sequential_cost(
                                     memory,
                                     *region,
@@ -840,7 +910,6 @@ impl StreamProcessor {
                                     *iterations,
                                     self.kernel_engine,
                                     self.tape_batch,
-                                    program.underrun_proofs.get(&i),
                                 )?;
                                 for (o, b) in outs.into_iter().zip(outputs) {
                                     buffers[b.0] = Some(o);
@@ -946,7 +1015,7 @@ impl StreamProcessor {
             sdr_peak: sdr.peak(),
             srf_peak_words_per_cluster: srf.peak_words_per_cluster(),
             sdr_stall_cycles,
-            // The caller (`run_with_threads`) overwrites these with the
+            // The caller (`run_parallel`) overwrites these with the
             // partitioner's verdict and, for partitioned runs, the
             // merged per-strip shard stats.
             partition: PartitionSummary::default(),
@@ -1141,7 +1210,7 @@ mod tests {
         pb.store("store y", by, out, 1, 0);
         let program = pb.build();
         let proc = StreamProcessor::new(cfg);
-        let report = proc.run(&mut mem, &program).expect("runs");
+        let report = proc.run_parallel(&mut mem, &program, 1).expect("runs");
         (mem.data(out).to_vec(), report)
     }
 
@@ -1211,7 +1280,7 @@ mod tests {
         pb.store("store y", by, out, 1, 0);
         let program = pb.build();
         let err = StreamProcessor::new(cfg)
-            .run(&mut mem, &program)
+            .run_parallel(&mut mem, &program, 1)
             .expect_err("must be rejected");
         match &err {
             SimError::StripSrfOverflow {
@@ -1240,7 +1309,9 @@ mod tests {
         pb.load("load", vals, 1, 0, 4, bv);
         pb.scatter_add("scatter", bv, acc, 1, Arc::new(vec![0, 1, 0, 1]));
         let program = pb.build();
-        StreamProcessor::new(cfg).run(&mut mem, &program).unwrap();
+        StreamProcessor::new(cfg)
+            .run_parallel(&mut mem, &program, 1)
+            .unwrap();
         assert_eq!(mem.data(acc), &[4.0, 6.0]);
     }
 
@@ -1274,7 +1345,9 @@ mod tests {
             pb.store(format!("store {strip}"), by, out, 1, strip * n);
         }
         let program = pb.build();
-        let r = StreamProcessor::new(cfg).run(&mut mem, &program).unwrap();
+        let r = StreamProcessor::new(cfg)
+            .run_parallel(&mut mem, &program, 1)
+            .unwrap();
         assert!(
             r.timeline.overlap() > 0,
             "expected memory/compute overlap, got none:\n{}",
@@ -1322,12 +1395,12 @@ mod tests {
         let (mut m1, p1) = build();
         let naive = StreamProcessor::new(cfg.clone())
             .with_policy(SdrPolicy::Naive)
-            .run(&mut m1, &p1)
+            .run_parallel(&mut m1, &p1, 1)
             .unwrap();
         let (mut m2, p2) = build();
         let eager = StreamProcessor::new(cfg)
             .with_policy(SdrPolicy::Eager)
-            .run(&mut m2, &p2)
+            .run_parallel(&mut m2, &p2, 1)
             .unwrap();
         assert!(
             eager.cycles <= naive.cycles,

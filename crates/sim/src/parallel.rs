@@ -69,8 +69,8 @@ use rayon::prelude::*;
 use crate::cache::CacheAccessStats;
 use crate::counters::Counters;
 use crate::machine::{
-    buffer_capacity_words, kernel_functional, produced_buffers, ExecMode, KernelEngine, OpRecord,
-    RunReport, SimError, StreamProcessor,
+    buffer_capacity_words, check_scatter_source, kernel_functional, produced_buffers, store_range,
+    ExecMode, KernelEngine, OpRecord, RunReport, SimError, StreamProcessor,
 };
 use crate::memsys::MemSystem;
 use crate::program::{
@@ -246,8 +246,8 @@ impl PartitionReport {
         }
     }
 
-    /// Human-readable description, printed under
-    /// `MERRIMAC_PARTITION_VERBOSE`.
+    /// Human-readable description: the parallel regions, or the serial
+    /// fallback reason.
     pub fn describe(&self, program: &StreamProgram, memory: &Memory) -> String {
         match &self.fallback {
             Some(reason) => format!(
@@ -597,36 +597,26 @@ struct StripOutcome {
 }
 
 impl StreamProcessor {
-    /// Execute `program` with the functional *and* memory-timing phases
-    /// fanned across `threads` worker threads. See the module docs for
-    /// the determinism contract; ineligible programs fall back to the
-    /// serial scoreboard with a typed [`FallbackReason`].
+    /// Execute `program` against `memory` with the functional *and*
+    /// memory-timing phases fanned across `threads` worker threads,
+    /// mutating regions written by scatter-add/store ops. The single
+    /// engine entry point: partition, fan out, merge, replay. See the
+    /// module docs for the determinism contract; ineligible programs
+    /// fall back to the serial scoreboard with a typed
+    /// [`FallbackReason`]. Cycle numbers depend only on whether the
+    /// program partitions — never on the thread count.
     pub fn run_parallel(
         &self,
         memory: &mut Memory,
         program: &StreamProgram,
         threads: usize,
     ) -> Result<RunReport, SimError> {
-        self.run_with_threads(memory, program, threads)
-    }
-
-    /// The single engine behind [`StreamProcessor::run`] and
-    /// [`StreamProcessor::run_parallel`]: partition, fan out, merge,
-    /// replay. Cycle numbers depend only on whether the program
-    /// partitions — never on the entry point or thread count.
-    pub(crate) fn run_with_threads(
-        &self,
-        memory: &mut Memory,
-        program: &StreamProgram,
-        threads: usize,
-    ) -> Result<RunReport, SimError> {
-        // Reject un-runnable programs before burning functional work on
-        // them; the scoreboard relies on this single check.
+        // Reject un-runnable programs and out-of-region accesses before
+        // burning functional work on them; the scoreboard and the strip
+        // executors rely on these two checks.
         self.validate_program(program)?;
+        self.check_region_bounds(program, memory)?;
         let partition = partition_program(program);
-        if self.partition_verbose {
-            eprintln!("{}", partition.describe(program, memory));
-        }
         let summary = partition.summary();
         if !partition.is_parallel() {
             let mut report = self.schedule(memory, program, ExecMode::Inline)?;
@@ -804,7 +794,6 @@ fn exec_strip(
                     *iterations,
                     engine,
                     batch,
-                    program.underrun_proofs.get(&i),
                 )?;
                 for (o, b) in outs.into_iter().zip(outputs) {
                     buffers.insert(b.0, o);
@@ -835,14 +824,7 @@ fn exec_strip(
                         lop.label
                     ))
                 })?;
-                if data.num_records() != indices.len() {
-                    return Err(SimError::Program(format!(
-                        "scatter-add '{}': {} records vs {} indices",
-                        lop.label,
-                        data.num_records(),
-                        indices.len()
-                    )));
-                }
+                check_scatter_source(&lop.label, data, *record_len, indices)?;
                 let pos = match out.scatter.iter().position(|(r, _)| *r == region.0) {
                     Some(p) => p,
                     None => {
@@ -853,15 +835,7 @@ fn exec_strip(
                 };
                 let overlay = &mut out.scatter[pos].1;
                 for (r, &idx) in indices.iter().enumerate() {
-                    overlay
-                        .add_record(idx as usize * *record_len, data.record(r))
-                        .map_err(|word| {
-                            SimError::Program(format!(
-                                "scatter-add '{}': record {idx} (word {word}) is outside \
-                                 region {}",
-                                lop.label, region.0
-                            ))
-                        })?;
+                    overlay.add_record(idx as usize * *record_len, data.record(r));
                 }
                 let cost = memsys.scatter_add_cost(memory, *region, *record_len, indices);
                 out.records.push((
@@ -884,6 +858,13 @@ fn exec_strip(
                         lop.label
                     ))
                 })?;
+                store_range(
+                    &lop.label,
+                    memory,
+                    *region,
+                    start * record_len,
+                    data.data.len(),
+                )?;
                 let records = data.num_records();
                 let cost =
                     memsys.sequential_cost(memory, *region, *record_len, *start, records, true);
@@ -924,11 +905,11 @@ impl Overlay {
     }
 
     /// Accumulate one record at word `base`, resolving each chunk the
-    /// record touches once. `Err(base)` if the record leaves the region.
-    fn add_record(&mut self, base: usize, mut vals: &[f64]) -> Result<(), usize> {
-        if base + vals.len() > self.len {
-            return Err(base);
-        }
+    /// record touches once. The record lies inside the region:
+    /// [`StreamProcessor::check_region_bounds`] bounded the index and
+    /// `check_scatter_source` the record length.
+    fn add_record(&mut self, base: usize, mut vals: &[f64]) {
+        debug_assert!(base + vals.len() <= self.len, "record leaves the region");
         let mut word = base;
         while !vals.is_empty() {
             let (c, off) = (word / OVERLAY_CHUNK, word % OVERLAY_CHUNK);
@@ -941,7 +922,6 @@ impl Overlay {
             vals = &vals[n..];
             word += n;
         }
-        Ok(())
     }
 
     /// `self += other`, chunk by chunk. Where only one side holds a
@@ -1122,7 +1102,7 @@ mod tests {
         let (mut m1, p1) = scatter_setup(3, 200);
         let (mut m2, p2) = scatter_setup(3, 200);
         let proc = StreamProcessor::new(MachineConfig::default());
-        let serial = proc.run(&mut m1, &p1).expect("serial");
+        let serial = proc.run_parallel(&mut m1, &p1, 1).expect("serial");
         let parallel = proc.run_parallel(&mut m2, &p2, 4).expect("parallel");
         assert_eq!(serial.cycles, parallel.cycles);
         assert_eq!(serial.counters, parallel.counters);
@@ -1174,7 +1154,7 @@ mod tests {
         let part = partition_program(&p1);
         assert!(part.is_parallel(), "disjoint stores must partition");
         assert_eq!(part.owned_write_regions, vec![RegionId(1)]);
-        let serial = proc.run(&mut m1, &p1).expect("serial");
+        let serial = proc.run_parallel(&mut m1, &p1, 1).expect("serial");
         let (mut m2, p2) = build();
         let parallel = proc.run_parallel(&mut m2, &p2, 4).expect("parallel");
         assert_eq!(
@@ -1294,9 +1274,7 @@ mod tests {
         assert!(r1.partition.parallelized);
         let (mut m2, _) = build(true);
         let (_, undeclared2) = build(false);
-        let r2 = proc
-            .run_with_threads(&mut m2, &undeclared2, 1)
-            .expect("serial");
+        let r2 = proc.run_parallel(&mut m2, &undeclared2, 1).expect("serial");
         assert!(!r2.partition.parallelized);
         assert_eq!(m1.data(RegionId(0)), m2.data(RegionId(0)));
         for (i, v) in m1.data(RegionId(0)).iter().enumerate() {
@@ -1456,6 +1434,142 @@ mod tests {
         assert_eq!(mem.data(RegionId(1))[5], 25.0);
     }
 
+    /// `read` → square kernel → `write` over two 64-word regions
+    /// (`xs` = region 0, `out` = region 1; buffers `x` = 0, `y` = 1).
+    /// With `cross_strips` the kernel sits in another strip than its
+    /// producer, forcing the serial fallback.
+    fn access_case(read: StreamOp, write: StreamOp, cross_strips: bool) -> (Memory, StreamProgram) {
+        let cfg = MachineConfig::default();
+        let n = 64usize;
+        let mut mem = Memory::new();
+        mem.region("xs", (0..n).map(|i| i as f64).collect());
+        mem.region("out", vec![0.0; n]);
+        let mut pb = ProgramBuilder::new();
+        let bx = pb.buffer("x", 1);
+        let by = pb.buffer("y", 1);
+        pb.strip(0).push("read", read);
+        pb.strip(usize::from(cross_strips)).kernel(
+            "kernel",
+            square_kernel(&cfg),
+            vec![bx],
+            vec![by],
+            vec![],
+            n as u64,
+            (n as u64).div_ceil(16),
+        );
+        pb.push("write", write);
+        (mem, pb.build())
+    }
+
+    #[test]
+    fn out_of_region_accesses_are_program_errors_on_both_paths() {
+        let n = 64u32;
+        let shifted = Arc::new((1..=n).collect::<Vec<u32>>());
+        let gather = |indices: &Arc<Vec<u32>>| StreamOp::Gather {
+            region: RegionId(0),
+            record_len: 1,
+            indices: indices.clone(),
+            dst: BufferId(0),
+        };
+        let store = |start| StreamOp::Store {
+            src: BufferId(1),
+            region: RegionId(1),
+            record_len: 1,
+            start,
+        };
+        let in_range = Arc::new((0..n).collect::<Vec<u32>>());
+        // Each case leaves its region by exactly one record.
+        let cases = [
+            ("gather", gather(&shifted), store(0)),
+            (
+                "load",
+                StreamOp::Load {
+                    region: RegionId(0),
+                    record_len: 1,
+                    start: 1,
+                    records: n as usize,
+                    dst: BufferId(0),
+                },
+                store(0),
+            ),
+            (
+                "scatter+",
+                gather(&in_range),
+                StreamOp::ScatterAdd {
+                    src: BufferId(1),
+                    region: RegionId(1),
+                    record_len: 1,
+                    indices: shifted.clone(),
+                },
+            ),
+            ("store", gather(&in_range), store(1)),
+            (
+                "store",
+                gather(&in_range),
+                StreamOp::Store {
+                    src: BufferId(1),
+                    region: RegionId(7),
+                    record_len: 1,
+                    start: 0,
+                },
+            ),
+        ];
+        for (what, read, write) in cases {
+            for cross_strips in [true, false] {
+                let (mem, program) = access_case(read.clone(), write.clone(), cross_strips);
+                if cross_strips {
+                    assert!(!partition_program(&program).is_parallel());
+                }
+                for threads in [1, 4] {
+                    let mut m = mem.clone();
+                    let proc = StreamProcessor::new(MachineConfig::default());
+                    match proc.run_parallel(&mut m, &program, threads) {
+                        Err(SimError::Program(msg)) => {
+                            assert!(msg.starts_with(what) && msg.contains("outside"), "{msg}")
+                        }
+                        other => panic!("{what} (cross {cross_strips}): {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// A scatter-add whose source records are longer than its own
+    /// `record_len` would write past the indexed record (and past the
+    /// region end at the last index); it is rejected on both paths.
+    #[test]
+    fn scatter_record_len_mismatch_is_a_program_error_on_both_paths() {
+        let n = 64u32;
+        for cross_strips in [true, false] {
+            let mut mem = Memory::new();
+            mem.region("xs", vec![1.0; n as usize]);
+            let out = mem.region("out", vec![0.0; n as usize]);
+            let mut pb = ProgramBuilder::new();
+            let bx = pb.buffer("x", 2);
+            let pairs = Arc::new((0..n).map(|i| i % (n / 2)).collect::<Vec<u32>>());
+            pb.strip(0).gather("gather", RegionId(0), 2, pairs, bx);
+            pb.strip(usize::from(cross_strips)).scatter_add(
+                "scatter",
+                bx,
+                out,
+                1,
+                Arc::new((0..n).collect()),
+            );
+            let program = pb.build();
+            assert_eq!(partition_program(&program).is_parallel(), !cross_strips);
+            for threads in [1, 4] {
+                let mut m = mem.clone();
+                let proc = StreamProcessor::new(MachineConfig::default());
+                match proc.run_parallel(&mut m, &program, threads) {
+                    Err(SimError::Program(msg)) => {
+                        assert!(msg.contains("source records are 2 words"), "{msg}")
+                    }
+                    other => panic!("cross {cross_strips}: {other:?}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn fallback_kind_codes_round_trip() {
         for kind in [
@@ -1512,7 +1626,7 @@ mod tests {
                     vec![v]
                 };
                 for vals in vals {
-                    overlay.add_record(r * 3, &vals).unwrap();
+                    overlay.add_record(r * 3, &vals);
                     for (d, x) in image[r * 3..r * 3 + 3].iter_mut().zip(vals) {
                         *d += x;
                     }
@@ -1547,6 +1661,5 @@ mod tests {
                 "chunked tree_sum diverged from the dense sum at {threads} threads"
             );
         }
-        assert!(Overlay::new(len).add_record(len - 2, &[1.0; 3]).is_err());
     }
 }

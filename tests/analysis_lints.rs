@@ -159,12 +159,12 @@ fn sdr_pressure_fixture_predicts_loss_and_simulator_confirms() {
     let (mut m1, p1) = sdr_fixture(&cfg);
     let naive = StreamProcessor::new(cfg.clone())
         .with_policy(SdrPolicy::Naive)
-        .run(&mut m1, &p1)
+        .run_parallel(&mut m1, &p1, 1)
         .expect("naive runs");
     let (mut m2, p2) = sdr_fixture(&cfg);
     let eager = StreamProcessor::new(cfg)
         .with_policy(SdrPolicy::Eager)
-        .run(&mut m2, &p2)
+        .run_parallel(&mut m2, &p2, 1)
         .expect("eager runs");
     assert!(
         naive.sdr_stall_cycles > 0,
@@ -270,7 +270,7 @@ fn srf_capacity_fixture_fires_once_as_error() {
         srf_words_per_cluster: 64,
         ..MachineConfig::default()
     });
-    assert!(proc.run(&mut mem, &program).is_err());
+    assert!(proc.run_parallel(&mut mem, &program, 1).is_err());
 }
 
 #[test]
@@ -360,7 +360,11 @@ fn verifier_program(
     (mem, pb.build())
 }
 
-fn analyze_fixture(cfg: &MachineConfig, mem: &Memory, program: &StreamProgram) -> Vec<merrimac_analysis::Diagnostic> {
+fn analyze_fixture(
+    cfg: &MachineConfig,
+    mem: &Memory,
+    program: &StreamProgram,
+) -> Vec<merrimac_analysis::Diagnostic> {
     analyze_program(&ProgramContext {
         cfg,
         policy: SdrPolicy::Eager,
@@ -392,7 +396,7 @@ fn intent_mismatch_fixture_fires_once_as_error() {
     );
     // Not a false positive: the simulator rejects the same program.
     let proc = StreamProcessor::new(cfg);
-    assert!(proc.run(&mut mem, &program).is_err());
+    assert!(proc.run_parallel(&mut mem, &program, 1).is_err());
 }
 
 #[test]
@@ -415,7 +419,7 @@ fn intent_undeclared_fixture_fires_once_as_warning() {
     );
     // Only a warning: the simulator still runs the program.
     let proc = StreamProcessor::new(cfg);
-    assert!(proc.run(&mut mem, &program).is_ok());
+    assert!(proc.run_parallel(&mut mem, &program, 1).is_ok());
 }
 
 #[test]
@@ -439,7 +443,9 @@ fn stream_underrun_fixture_fires_once_as_error() {
     );
     // The engines blame exactly the iteration the pass predicted.
     let proc = StreamProcessor::new(cfg);
-    let err = proc.run(&mut mem, &program).expect_err("must underrun");
+    let err = proc
+        .run_parallel(&mut mem, &program, 1)
+        .expect_err("must underrun");
     assert!(
         err.to_string().contains("32"),
         "simulator must blame iteration 32: {err}"
@@ -459,12 +465,8 @@ fn batch_plan_split_fixture_fires_once_as_error() {
         let x = b.read(s, 0);
         let y = b.mul(x, x);
         b.write(o, &[y]);
-        let mut ck = CompiledKernel::compile(
-            b.build(),
-            &cfg,
-            &OpCosts::default(),
-            KernelOpt::default(),
-        );
+        let mut ck =
+            CompiledKernel::compile(b.build(), &cfg, &OpCosts::default(), KernelOpt::default());
         ck.tape.corrupt_batch_plan_for_tests();
         Arc::new(ck)
     };

@@ -13,7 +13,7 @@
 use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
 use merrimac_arch::MachineConfig;
-use streammd::{SimError, StreamMdApp, Variant};
+use streammd::{MerrimacDriver, SimError, StreamMdApp, Variant};
 
 fn box_216() -> (WaterBox, NeighborList) {
     let system = WaterBox::builder().molecules(216).seed(42).build();
@@ -91,4 +91,24 @@ fn same_strip_is_fine_for_the_compact_variants() {
         let out = app.run_step_with_list(&system, &list, v).unwrap();
         assert!(out.perf.cycles > 0, "{v}");
     }
+}
+
+#[test]
+fn box_too_small_for_the_cutoff_is_a_config_error() {
+    // The default neighbour list (cutoff 1.0) needs a box edge of at
+    // least twice its radius; 216 molecules give a ~1.86 nm box. Both
+    // the one-step and the trajectory entry points must refuse with a
+    // typed error instead of panicking inside the list build.
+    let mut system = WaterBox::builder().molecules(216).seed(42).build();
+    let app = StreamMdApp::builder().build().expect("default app builds");
+    assert!(2.0 * app.neighbor.list_radius() > system.pbc().side());
+    let err = app
+        .run_step(&system, Variant::Variable)
+        .expect_err("cutoff too large for the box");
+    assert!(matches!(err, SimError::Config(_)), "got {err:?}");
+    assert!(err.to_string().contains("minimum image"), "{err}");
+    let err = MerrimacDriver::new(app, Variant::Fixed)
+        .run(&mut system, 2)
+        .expect_err("cutoff too large for the box");
+    assert!(matches!(err, SimError::Config(_)), "got {err:?}");
 }

@@ -4,7 +4,7 @@
 //! random kernels (with and without conditional streams, unrolled and
 //! not), every engine must produce bitwise-identical outputs,
 //! records-consumed counts, final registers — and identical errors when
-//! a stream underruns. A strip-level test then shows `run_with_threads`
+//! a stream underruns. A strip-level test then shows `run_parallel`
 //! produces identical `RunReport`s and region contents under every
 //! engine at every thread count.
 
@@ -216,11 +216,7 @@ fn assert_bitwise_equal(tape: &InterpOutput, interp: &InterpOutput, ctx: &str) {
 }
 
 /// Run all three engines on `k` (the batched tape at both widths) and
-/// require identical results (or identical errors). Also pins the
-/// static underrun prover: it must never claim safety for a launch any
-/// engine underruns on (soundness), and whenever it does produce a
-/// proof, the check-elided proven entry points must be bitwise-identical
-/// to the checked paths.
+/// require identical results (or identical errors).
 fn assert_engines_agree(k: &Kernel, inputs: &[StreamData], params: &[f64], iterations: usize) {
     let compiled = CompiledTape::compile(k);
     let tape = compiled.run(inputs, params, iterations);
@@ -233,29 +229,6 @@ fn assert_engines_agree(k: &Kernel, inputs: &[StreamData], params: &[f64], itera
             k.name
         ),
     }
-    let records: Vec<usize> = inputs.iter().map(|d| d.num_records()).collect();
-    let proof = compiled.prove_underrun_free(&records, iterations);
-    if matches!(
-        &tape,
-        Err(merrimac_kernel::interp::InterpError::StreamUnderrun { .. })
-    ) {
-        assert!(
-            proof.is_none(),
-            "kernel '{}': prover claimed underrun-freedom but the scalar tape underran",
-            k.name
-        );
-    }
-    if let Some(p) = &proof {
-        let proven = compiled.run_proven(inputs, params, iterations, p);
-        match (&proven, &tape) {
-            (Ok(a), Ok(t)) => assert_bitwise_equal(a, t, &format!("{} (proven)", k.name)),
-            _ => assert_eq!(
-                proven, tape,
-                "kernel '{}': proven tape disagrees with checked tape",
-                k.name
-            ),
-        }
-    }
     for width in [BatchWidth::W8, BatchWidth::W16] {
         let batch = compiled.run_batched(inputs, params, iterations, width);
         match (&batch, &tape) {
@@ -265,19 +238,6 @@ fn assert_engines_agree(k: &Kernel, inputs: &[StreamData], params: &[f64], itera
                 "kernel '{}': batch {width} disagrees with scalar tape on error",
                 k.name
             ),
-        }
-        if let Some(p) = &proof {
-            let proven = compiled.run_batched_proven(inputs, params, iterations, width, p);
-            match (&proven, &batch) {
-                (Ok(a), Ok(b)) => {
-                    assert_bitwise_equal(a, b, &format!("{} (proven batch {width})", k.name))
-                }
-                _ => assert_eq!(
-                    proven, batch,
-                    "kernel '{}': proven batch {width} disagrees with checked batch",
-                    k.name
-                ),
-            }
         }
     }
 }
@@ -395,7 +355,7 @@ fn strip_program(strips: usize, n: usize) -> (Memory, merrimac_sim::StreamProgra
     (mem, pb.build())
 }
 
-/// `run_with_threads` must produce identical `RunReport`s and region
+/// `run_parallel` must produce identical `RunReport`s and region
 /// contents whichever engine executes the kernels, at every thread
 /// count — the engines change host wall-clock only, never simulated
 /// results.
@@ -490,12 +450,12 @@ fn serial_fallback_identical_under_all_engines() {
     let (mut m1, p1) = build();
     let r1 = StreamProcessor::new(cfg.clone())
         .with_engine(KernelEngine::Interp)
-        .run(&mut m1, &p1)
+        .run_parallel(&mut m1, &p1, 1)
         .expect("interp");
     let (mut m2, p2) = build();
     let r2 = StreamProcessor::new(cfg.clone())
         .with_engine(KernelEngine::Tape)
-        .run(&mut m2, &p2)
+        .run_parallel(&mut m2, &p2, 1)
         .expect("tape");
     assert!(!r1.partition.parallelized && !r2.partition.parallelized);
     assert_eq!(m1.data(RegionId(2)), m2.data(RegionId(2)));
@@ -507,7 +467,7 @@ fn serial_fallback_identical_under_all_engines() {
         let r3 = StreamProcessor::new(cfg.clone())
             .with_engine(KernelEngine::Batch)
             .with_batch_width(width)
-            .run(&mut m3, &p3)
+            .run_parallel(&mut m3, &p3, 1)
             .unwrap_or_else(|e| panic!("batch {width}: {e}"));
         assert!(!r3.partition.parallelized);
         assert_eq!(m1.data(RegionId(2)), m3.data(RegionId(2)), "batch {width}");
