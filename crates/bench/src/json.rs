@@ -1,11 +1,13 @@
-//! A minimal JSON reader for the trend harness.
+//! Minimal JSON: the workspace's one string/number writer and the
+//! reader for the trend harness.
 //!
 //! The workspace builds offline and the vendored `serde` is a no-op
-//! stand-in, so `BENCH_*.json` files are both rendered (see [`report`])
-//! and parsed by hand. This parser covers exactly the JSON this
-//! workspace emits — objects, arrays, strings with the escapes
-//! `report::json_str` produces, numbers, booleans and null — and
-//! reports the byte offset of the first error.
+//! stand-in, so `BENCH_*.json` reports (see [`crate::report`]) and
+//! `merrimac-lint --json` are rendered by hand with [`json_str`] and
+//! [`json_f64`], and parsed back by [`parse`]. The parser covers
+//! exactly the JSON this workspace emits — objects, arrays, strings
+//! with the escapes [`json_str`] produces, numbers, booleans and null
+//! — and reports the byte offset of the first error.
 
 use std::collections::BTreeMap;
 
@@ -221,6 +223,35 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
+/// A JSON string literal for `s`, quoted and escaped.
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A JSON number for `x`; non-finite values (which JSON cannot hold)
+/// are written as `null`.
+pub fn json_f64(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x}")
+    } else {
+        "null".to_string()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,6 +291,20 @@ mod tests {
             "{} extra",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn non_finite_values_become_null() {
+        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(json_f64(f64::INFINITY), "null");
+        assert_eq!(json_f64(1.5), "1.5");
+    }
+
+    #[test]
+    fn written_strings_parse_back() {
+        for s in ["plain", "q\"uoted\\", "tab\tnl\ncr\r", "bell\u{7}"] {
+            assert_eq!(parse(&json_str(s)).unwrap().as_str(), Some(s));
         }
     }
 

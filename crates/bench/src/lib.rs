@@ -103,8 +103,7 @@ impl std::error::Error for VariantError {
 
 /// A malformed `MERRIMAC_*` environment override, rejected by
 /// [`RunSpec::from_env_overrides`] with the variable, the offending
-/// value and what was expected — instead of the silent fall-back the
-/// scattered ad-hoc parsers used to apply.
+/// value and what was expected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvOverrideError {
     pub var: &'static str,
@@ -329,16 +328,11 @@ pub struct RunSpec<'a> {
     /// counts the end-to-end multi-node runner (validated against the
     /// modeled network at build time).
     pub nodes: usize,
-    /// Functional kernel-execution engine. `None` leaves the
-    /// `SimConfigBuilder` default (the legacy lenient
-    /// `MERRIMAC_KERNEL_ENGINE` fallback); set it explicitly — or via
-    /// [`RunSpec::from_env_overrides`], which rejects malformed values.
-    pub engine: Option<KernelEngine>,
-    /// Lane width of the batched engine. `None` leaves the
-    /// `SimConfigBuilder` default (the legacy lenient
-    /// `MERRIMAC_TAPE_BATCH` fallback); results are bitwise-identical
-    /// at either width.
-    pub tape_batch: Option<BatchWidth>,
+    /// Functional kernel-execution engine (default batch).
+    pub engine: KernelEngine,
+    /// Lane width of the batched engine (default 8); results are
+    /// bitwise-identical at either width.
+    pub tape_batch: BatchWidth,
 }
 
 impl<'a> RunSpec<'a> {
@@ -349,8 +343,8 @@ impl<'a> RunSpec<'a> {
             variant,
             threads: 1,
             nodes: 1,
-            engine: None,
-            tape_batch: None,
+            engine: KernelEngine::default(),
+            tape_batch: BatchWidth::default(),
         }
     }
 
@@ -366,79 +360,77 @@ impl<'a> RunSpec<'a> {
     }
 
     pub fn engine(mut self, engine: KernelEngine) -> Self {
-        self.engine = Some(engine);
+        self.engine = engine;
         self
     }
 
     /// Lane width of the batched engine (default 8).
     pub fn tape_batch(mut self, width: BatchWidth) -> Self {
-        self.tape_batch = Some(width);
+        self.tape_batch = width;
         self
     }
 
     /// Apply the `MERRIMAC_HOST_THREADS`, `MERRIMAC_NODES`,
     /// `MERRIMAC_KERNEL_ENGINE` and `MERRIMAC_TAPE_BATCH` environment
-    /// overrides to this spec — the single place those variables are
-    /// parsed. Unset variables leave the spec untouched; a
+    /// overrides to this spec — the only place in the workspace those
+    /// variables are read. Unset variables leave the spec untouched; a
     /// set-but-malformed value is a typed [`RunError::Env`] naming the
-    /// variable, instead of the silent fall-back the legacy defaults
-    /// apply.
-    pub fn from_env_overrides(mut self) -> Result<Self, RunError> {
-        if let Some(threads) = env_usize("MERRIMAC_HOST_THREADS")? {
+    /// variable and the value.
+    pub fn from_env_overrides(self) -> Result<Self, RunError> {
+        self.overrides_from(|var| std::env::var(var).ok())
+    }
+
+    /// [`RunSpec::from_env_overrides`] over an explicit variable lookup.
+    fn overrides_from(mut self, lookup: impl Fn(&str) -> Option<String>) -> Result<Self, RunError> {
+        let usize_of = |var: &'static str| -> Result<Option<usize>, EnvOverrideError> {
+            let Some(value) = lookup(var) else {
+                return Ok(None);
+            };
+            match value.parse::<usize>() {
+                Ok(n) if n >= 1 => Ok(Some(n)),
+                _ => Err(EnvOverrideError {
+                    var,
+                    value,
+                    expected: "a positive integer",
+                }),
+            }
+        };
+        if let Some(threads) = usize_of("MERRIMAC_HOST_THREADS")? {
             self.threads = threads;
         }
-        if let Some(nodes) = env_usize("MERRIMAC_NODES")? {
+        if let Some(nodes) = usize_of("MERRIMAC_NODES")? {
             self.nodes = nodes;
         }
-        if let Some(value) = env_value("MERRIMAC_KERNEL_ENGINE") {
-            self.engine = Some(KernelEngine::parse(&value).ok_or(EnvOverrideError {
+        if let Some(value) = lookup("MERRIMAC_KERNEL_ENGINE") {
+            self.engine = KernelEngine::parse(&value).ok_or(EnvOverrideError {
                 var: "MERRIMAC_KERNEL_ENGINE",
                 value,
                 expected: "`batch`, `tape` or `interp`",
-            })?);
+            })?;
         }
-        if let Some(value) = env_value("MERRIMAC_TAPE_BATCH") {
-            self.tape_batch = Some(BatchWidth::parse(&value).ok_or(EnvOverrideError {
+        if let Some(value) = lookup("MERRIMAC_TAPE_BATCH") {
+            self.tape_batch = BatchWidth::parse(&value).ok_or(EnvOverrideError {
                 var: "MERRIMAC_TAPE_BATCH",
                 value,
                 expected: "`8` or `16`",
-            })?);
+            })?;
         }
         Ok(self)
     }
 
-    /// The validated application this spec describes.
-    fn build_app(&self) -> Result<StreamMdApp, RunError> {
-        let mut b = StreamMdApp::builder()
+    /// The validated application this spec describes — the one
+    /// construction path behind [`run`], [`analyze`] and every
+    /// campaign job.
+    pub fn build_app(&self) -> Result<StreamMdApp, RunError> {
+        StreamMdApp::builder()
             .neighbor(self.list.params)
             .threads(self.threads)
             .variants(&[self.variant])
-            .nodes(self.nodes);
-        if let Some(engine) = self.engine {
-            b = b.engine(engine);
-        }
-        if let Some(width) = self.tape_batch {
-            b = b.tape_batch(width);
-        }
-        b.build().map_err(|e| RunError::sim(self.variant, e))
-    }
-}
-
-fn env_value(var: &str) -> Option<String> {
-    std::env::var(var).ok()
-}
-
-fn env_usize(var: &'static str) -> Result<Option<usize>, EnvOverrideError> {
-    let Some(value) = env_value(var) else {
-        return Ok(None);
-    };
-    match value.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(Some(n)),
-        _ => Err(EnvOverrideError {
-            var,
-            value,
-            expected: "a positive integer",
-        }),
+            .nodes(self.nodes)
+            .engine(self.engine)
+            .tape_batch(self.tape_batch)
+            .build()
+            .map_err(|e| RunError::sim(self.variant, e))
     }
 }
 
@@ -531,29 +523,53 @@ mod tests {
     }
 
     #[test]
-    fn tape_batch_env_override_is_checked() {
-        // Junk is a typed error naming the variable; a valid width
-        // lands in the spec. (Other tests tolerate this variable being
-        // transiently set: widths are bitwise-equivalent and the
-        // legacy `BatchWidth::from_env` fallback is lenient.)
+    fn env_overrides_are_checked() {
+        use std::collections::HashMap;
         let (system, list) = small_system(27);
-        std::env::set_var("MERRIMAC_TAPE_BATCH", "12");
-        let err = RunSpec::new(&system, &list, Variant::Expanded)
-            .from_env_overrides()
-            .unwrap_err();
-        match err {
-            RunError::Env(e) => {
-                assert_eq!(e.var, "MERRIMAC_TAPE_BATCH");
-                assert_eq!(e.value, "12");
+        let spec = RunSpec::new(&system, &list, Variant::Expanded);
+        let with = |vars: &[(&str, &str)]| {
+            let map: HashMap<String, String> = vars
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            spec.overrides_from(|var| map.get(var).cloned())
+        };
+        // Unset variables leave the spec unchanged.
+        let same = with(&[]).expect("nothing to parse");
+        assert_eq!(
+            (same.threads, same.nodes, same.engine, same.tape_batch),
+            (1, 1, KernelEngine::Batch, BatchWidth::W8)
+        );
+        // Every variable lands in the spec.
+        let set = with(&[
+            ("MERRIMAC_HOST_THREADS", "3"),
+            ("MERRIMAC_NODES", "2"),
+            ("MERRIMAC_KERNEL_ENGINE", "interp"),
+            ("MERRIMAC_TAPE_BATCH", "16"),
+        ])
+        .expect("valid overrides");
+        assert_eq!(
+            (set.threads, set.nodes, set.engine, set.tape_batch),
+            (3, 2, KernelEngine::Interp, BatchWidth::W16)
+        );
+        // A malformed value is a typed error naming the variable and
+        // the value.
+        for (var, value) in [
+            ("MERRIMAC_HOST_THREADS", "0"),
+            ("MERRIMAC_NODES", "x"),
+            ("MERRIMAC_KERNEL_ENGINE", "gpu"),
+            ("MERRIMAC_TAPE_BATCH", "12"),
+        ] {
+            match with(&[(var, value)]) {
+                Err(RunError::Env(e)) => {
+                    assert_eq!((e.var, e.value.as_str()), (var, value));
+                    let msg = e.to_string();
+                    assert!(msg.contains(var) && msg.contains(value), "{msg}");
+                }
+                Err(other) => panic!("{var}={value}: expected Env error, got {other}"),
+                Ok(_) => panic!("{var}={value} must be rejected"),
             }
-            other => panic!("expected Env error, got {other}"),
         }
-        std::env::set_var("MERRIMAC_TAPE_BATCH", "16");
-        let spec = RunSpec::new(&system, &list, Variant::Expanded)
-            .from_env_overrides()
-            .expect("valid width");
-        assert_eq!(spec.tape_batch, Some(BatchWidth::W16));
-        std::env::remove_var("MERRIMAC_TAPE_BATCH");
     }
 
     #[test]

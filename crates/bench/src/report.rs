@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use merrimac_sim::FallbackKind;
 use streammd::{MultiNodeBreakdown, PhaseBreakdown, StepOutcome};
 
-use crate::json::{self, Json};
+use crate::json::{self, json_f64, json_str, Json};
 
 /// Version tag of the `BENCH_*.json` format. Bump whenever a field is
 /// added, removed or changes meaning; the trend harness refuses to diff
@@ -100,8 +100,6 @@ pub struct CampaignRecord {
     pub cache_hits: usize,
     /// Jobs that built (and populated) their artifact slot.
     pub cache_misses: usize,
-    /// Jobs that skipped the cache (multi-node specs).
-    pub cache_bypass: usize,
     /// Distinct `(dataset, variant, machine)` keys seen.
     pub distinct_keys: usize,
     /// Host wall-clock seconds from first submit to drain.
@@ -127,8 +125,7 @@ impl CampaignRecord {
     fn to_json(&self) -> String {
         format!(
             "{{\n    \"jobs\": {}, \"completed\": {}, \"failed\": {}, \"workers\": {},\n    \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"cache_bypass\": {}, \
-             \"distinct_keys\": {},\n    \"wall_seconds\": {}, \"jobs_per_sec\": {}, \
+             \"cache_hits\": {}, \"cache_misses\": {}, \"distinct_keys\": {},\n    \"wall_seconds\": {}, \"jobs_per_sec\": {}, \
              \"interactions_per_sec\": {}\n  }}",
             self.jobs,
             self.completed,
@@ -136,7 +133,6 @@ impl CampaignRecord {
             self.workers,
             self.cache_hits,
             self.cache_misses,
-            self.cache_bypass,
             self.distinct_keys,
             json_f64(self.wall_seconds),
             json_f64(self.jobs_per_sec),
@@ -159,7 +155,6 @@ impl CampaignRecord {
             workers: count("workers")?,
             cache_hits: count("cache_hits")?,
             cache_misses: count("cache_misses")?,
-            cache_bypass: count("cache_bypass")?,
             distinct_keys: count("distinct_keys")?,
             wall_seconds: num("wall_seconds")?,
             jobs_per_sec: num("jobs_per_sec")?,
@@ -537,32 +532,6 @@ impl PerfReport {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,13 +553,6 @@ mod tests {
         let back = std::fs::read_to_string(&path).expect("reads");
         assert_eq!(back, json);
         std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn non_finite_values_become_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(1.5), "1.5");
     }
 
     fn sample_record() -> VariantRecord {
@@ -690,7 +652,6 @@ mod tests {
             workers: 2,
             cache_hits: 4,
             cache_misses: 4,
-            cache_bypass: 0,
             distinct_keys: 4,
             wall_seconds: 1.5,
             jobs_per_sec: 5.25,

@@ -109,10 +109,9 @@ fn main() {
         m.interactions_per_sec() / 1e6
     );
     println!(
-        "cache: {} hits / {} misses / {} bypass over {} distinct keys (hit rate {:.0}%)",
+        "cache: {} hits / {} misses over {} distinct keys (hit rate {:.0}%)",
         m.cache.hits,
         m.cache.misses,
-        m.cache.bypass,
         m.cache.distinct_keys,
         m.cache_hit_rate() * 100.0
     );

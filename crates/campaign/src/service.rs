@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use merrimac_bench::{CampaignRecord, Dataset, RunError, RunSpec, VariantError};
 use merrimac_sim::{BatchWidth, KernelEngine};
-use streammd::{run_multinode_program, StepOutcome, StreamMdApp, Variant};
+use streammd::{run_multinode_program, StepOutcome, Variant};
 
 use crate::cache::{ArtifactCache, CacheKey, CacheStats, CacheStatus, StepArtifact};
 
@@ -31,9 +31,9 @@ pub struct JobSpec {
     pub variant: Variant,
     pub threads: usize,
     pub nodes: usize,
-    pub engine: Option<KernelEngine>,
+    pub engine: KernelEngine,
     /// Lane width of the batched engine (results are width-invariant).
-    pub tape_batch: Option<BatchWidth>,
+    pub tape_batch: BatchWidth,
 }
 
 impl JobSpec {
@@ -43,8 +43,8 @@ impl JobSpec {
             variant,
             threads: 1,
             nodes: 1,
-            engine: None,
-            tape_batch: None,
+            engine: KernelEngine::default(),
+            tape_batch: BatchWidth::default(),
         }
     }
 
@@ -59,24 +59,25 @@ impl JobSpec {
     }
 
     pub fn engine(mut self, engine: KernelEngine) -> Self {
-        self.engine = Some(engine);
+        self.engine = engine;
         self
     }
 
     pub fn tape_batch(mut self, width: BatchWidth) -> Self {
-        self.tape_batch = Some(width);
+        self.tape_batch = width;
         self
     }
 
     /// The equivalent borrowed one-shot spec (what `bench::run` would
-    /// execute for this job).
+    /// execute for this job). Jobs build their app through it, so
+    /// preflight failures (e.g. a node count outside the modeled
+    /// network) render identically from the service and the binary.
     pub fn run_spec(&self) -> RunSpec<'_> {
-        let mut spec = RunSpec::new(&self.dataset.system, &self.dataset.list, self.variant)
+        RunSpec::new(&self.dataset.system, &self.dataset.list, self.variant)
             .threads(self.threads)
-            .nodes(self.nodes);
-        spec.engine = self.engine;
-        spec.tape_batch = self.tape_batch;
-        spec
+            .nodes(self.nodes)
+            .engine(self.engine)
+            .tape_batch(self.tape_batch)
     }
 
     /// Human-readable job identity for logs and reports.
@@ -87,29 +88,6 @@ impl JobSpec {
             self.dataset.id,
             self.nodes
         )
-    }
-
-    /// Validated app — the same construction path as `bench::run`, so
-    /// preflight failures (e.g. a node count outside the modeled
-    /// network) render identically from the service and the binary.
-    fn build_app(&self) -> Result<StreamMdApp, RunError> {
-        let mut b = StreamMdApp::builder()
-            .neighbor(self.dataset.list.params)
-            .threads(self.threads)
-            .variants(&[self.variant])
-            .nodes(self.nodes);
-        if let Some(engine) = self.engine {
-            b = b.engine(engine);
-        }
-        if let Some(width) = self.tape_batch {
-            b = b.tape_batch(width);
-        }
-        b.build().map_err(|source| {
-            RunError::from(VariantError {
-                variant: self.variant,
-                source,
-            })
-        })
     }
 }
 
@@ -194,7 +172,6 @@ impl CampaignMetrics {
             workers: self.workers,
             cache_hits: self.cache.hits,
             cache_misses: self.cache.misses,
-            cache_bypass: self.cache.bypass,
             distinct_keys: self.cache.distinct_keys,
             wall_seconds: self.wall_seconds,
             jobs_per_sec: self.jobs_per_sec(),
@@ -405,7 +382,7 @@ fn worker_loop(shared: &Shared, tx: &Sender<JobResult>) {
 fn execute(shared: &Shared, q: Queued) -> JobResult {
     let t0 = Instant::now();
     let spec = &q.spec;
-    let (cache, result) = match spec.build_app() {
+    let (cache, result) = match spec.run_spec().build_app() {
         Err(e) => (None, Err(e)),
         Ok(app) => {
             // Single- and multi-node jobs share one cached artifact per
@@ -478,7 +455,6 @@ mod tests {
         assert_eq!(m.cache.distinct_keys, 2);
         assert_eq!(m.cache.misses, 2, "one build per distinct key");
         assert_eq!(m.cache.hits, 4, "every duplicate is a hit");
-        assert_eq!(m.cache.bypass, 0);
         assert!(m.cache_hit_rate() > 0.6);
         assert!(m.total_iterations > 0);
     }
@@ -514,7 +490,7 @@ mod tests {
         let ds = Arc::new(Dataset::small(64));
         // Same (dataset, variant, machine) at three node counts: one
         // build serves all three — the canonical step program is
-        // node-count-independent, so nothing bypasses the cache.
+        // node-count-independent.
         let jobs = vec![
             Job::new(JobSpec::new(ds.clone(), Variant::Variable).nodes(2)),
             Job::new(JobSpec::new(ds.clone(), Variant::Variable)),
@@ -522,7 +498,6 @@ mod tests {
         ];
         let out = run_campaign(jobs, 2);
         assert_eq!(out.metrics.completed, 3);
-        assert_eq!(out.metrics.cache.bypass, 0);
         assert_eq!(out.metrics.cache.misses, 1, "one build per distinct key");
         assert_eq!(out.metrics.cache.hits, 2);
         assert_eq!(out.metrics.cache.distinct_keys, 1);
@@ -553,7 +528,6 @@ mod tests {
         ];
         let out = run_campaign(jobs, 2);
         assert_eq!(out.metrics.completed, 2);
-        assert_eq!(out.metrics.cache.bypass, 0);
         assert_eq!(out.metrics.cache.distinct_keys, 1);
         let forces: Vec<_> = out
             .results

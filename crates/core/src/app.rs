@@ -89,10 +89,7 @@ pub struct StreamMdApp {
     /// Functional kernel-execution engine (batched SoA tape, scalar
     /// tape, or the reference interpreter). Simulated results are
     /// bitwise-identical under all three; only host wall-clock differs.
-    /// First-class configuration state: set it via
-    /// [`crate::SimConfigBuilder::engine`] (or the checked
-    /// `RunSpec::from_env_overrides` in `merrimac_bench`) instead of
-    /// exporting `MERRIMAC_KERNEL_ENGINE` ad hoc.
+    /// Set it via [`crate::SimConfigBuilder::engine`] (default batch).
     pub engine: KernelEngine,
     /// Lane width of the batched engine (8 or 16 iterations per SoA
     /// batch); irrelevant to results, which are bitwise-identical at
@@ -119,29 +116,14 @@ impl StreamMdApp {
         crate::config::SimConfigBuilder::new()
     }
 
-    pub fn new(cfg: MachineConfig) -> Self {
-        Self {
-            threads: cfg.host_threads.max(1),
-            cfg,
-            costs: OpCosts::default(),
-            policy: SdrPolicy::Eager,
-            kernel_opt: KernelOpt {
-                unroll: 1,
-                software_pipeline: true,
-            },
-            neighbor: NeighborListParams {
-                cutoff: 1.0,
-                skin: 0.0,
-                rebuild_interval: 10,
-            },
-            block_l: 8,
-            strip_iterations: None,
-            analyze: false,
-            network: NetworkConfig::default(),
-            nodes: 1,
-            engine: KernelEngine::from_env(),
-            tape_batch: BatchWidth::from_env(),
-        }
+    /// The simulated processor this app's steps run on: its machine,
+    /// op costs, SDR policy, kernel engine and batch width.
+    pub fn processor(&self) -> StreamProcessor {
+        StreamProcessor::new(self.cfg.clone())
+            .with_costs(self.costs.clone())
+            .with_policy(self.policy)
+            .with_engine(self.engine)
+            .with_batch_width(self.tape_batch)
     }
 
     /// Default strip size: fill roughly a third of the SRF with live
@@ -330,12 +312,9 @@ impl StreamMdApp {
         step: &StepProgram,
     ) -> Result<StepOutcome, SimError> {
         let mut mem = step.memory.clone();
-        let proc = StreamProcessor::new(self.cfg.clone())
-            .with_costs(self.costs.clone())
-            .with_policy(self.policy)
-            .with_engine(self.engine)
-            .with_batch_width(self.tape_batch);
-        let report = proc.run_parallel(&mut mem, &step.program, self.threads)?;
+        let report = self
+            .processor()
+            .run_parallel(&mut mem, &step.program, self.threads)?;
 
         // Extract forces for the real molecules (one Vec3 per site).
         let layout = &step.layout;

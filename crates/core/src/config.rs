@@ -57,14 +57,14 @@ pub struct SimConfigBuilder {
     neighbor: NeighborListParams,
     block_l: usize,
     strip_iterations: Option<usize>,
-    threads: Option<usize>,
+    threads: usize,
     variants: Vec<Variant>,
     workloads: Vec<Workload>,
     analyze: bool,
     network: NetworkConfig,
     nodes: usize,
-    engine: Option<KernelEngine>,
-    tape_batch: Option<BatchWidth>,
+    engine: KernelEngine,
+    tape_batch: BatchWidth,
 }
 
 impl Default for SimConfigBuilder {
@@ -90,14 +90,14 @@ impl SimConfigBuilder {
             },
             block_l: 8,
             strip_iterations: None,
-            threads: None,
+            threads: 1,
             variants: Variant::ALL.to_vec(),
             workloads: Workload::ALL.to_vec(),
             analyze: false,
             network: NetworkConfig::default(),
             nodes: 1,
-            engine: None,
-            tape_batch: None,
+            engine: KernelEngine::default(),
+            tape_batch: BatchWidth::default(),
         }
     }
 
@@ -145,9 +145,10 @@ impl SimConfigBuilder {
     }
 
     /// Host worker threads for the functional phase of the execution
-    /// engine (simulated results are identical at any count).
+    /// engine (default 1; simulated results are identical at any
+    /// count).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.threads = threads;
         self
     }
 
@@ -184,22 +185,20 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Functional kernel-execution engine (batched SoA tape, scalar
-    /// tape, or the reference interpreter). Unset, the legacy
-    /// `MERRIMAC_KERNEL_ENGINE` default applies; prefer setting it here
-    /// (or via `RunSpec::from_env_overrides` in `merrimac_bench`, which
-    /// rejects malformed values with a typed error).
+    /// Functional kernel-execution engine (batched SoA tape — the
+    /// default — scalar tape, or the reference interpreter). Simulated
+    /// results are bitwise-identical under all three, so this is the
+    /// knob for bisecting a host-side difference.
     pub fn engine(mut self, engine: KernelEngine) -> Self {
-        self.engine = Some(engine);
+        self.engine = engine;
         self
     }
 
     /// Lane width of the batched engine ([`KernelEngine::Batch`]): 8 or
-    /// 16 iterations per SoA batch. Unset, the legacy
-    /// `MERRIMAC_TAPE_BATCH` default applies (8). Results are
+    /// 16 iterations per SoA batch (default 8). Results are
     /// bitwise-identical at either width; only host wall-clock differs.
     pub fn tape_batch(mut self, width: BatchWidth) -> Self {
-        self.tape_batch = Some(width);
+        self.tape_batch = width;
         self
     }
 
@@ -222,7 +221,7 @@ impl SimConfigBuilder {
         if self.kernel_opt.unroll == 0 {
             return Err(SimError::Config("kernel unroll must be at least 1".into()));
         }
-        if self.threads == Some(0) {
+        if self.threads == 0 {
             return Err(SimError::Config("threads must be at least 1".into()));
         }
         if self.strip_iterations == Some(0) {
@@ -302,9 +301,8 @@ impl SimConfigBuilder {
             }
             other => SimError::Config(other.to_string()),
         })?;
-        let threads = self.threads.unwrap_or(self.cfg.host_threads.max(1));
         Ok(StreamMdApp {
-            threads,
+            threads: self.threads,
             cfg: self.cfg,
             costs: self.costs,
             policy: self.policy,
@@ -315,8 +313,8 @@ impl SimConfigBuilder {
             analyze: self.analyze,
             network: self.network,
             nodes: self.nodes,
-            engine: self.engine.unwrap_or_else(KernelEngine::from_env),
-            tape_batch: self.tape_batch.unwrap_or_else(BatchWidth::from_env),
+            engine: self.engine,
+            tape_batch: self.tape_batch,
         })
     }
 }
@@ -366,12 +364,9 @@ mod tests {
     fn defaults_build() {
         let app = SimConfigBuilder::new().build().expect("defaults are valid");
         assert_eq!(app.block_l, 8);
-        // `host_threads` honours MERRIMAC_HOST_THREADS (the CI thread
-        // matrix), so compare against the machine default, not 1.
-        assert_eq!(
-            app.threads,
-            merrimac_arch::MachineConfig::default().host_threads.max(1)
-        );
+        assert_eq!(app.threads, 1);
+        assert_eq!(app.engine, KernelEngine::Batch);
+        assert_eq!(app.tape_batch, BatchWidth::W8);
         assert!(app.strip_iterations.is_none());
     }
 
@@ -509,13 +504,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_default_to_machine_host_threads() {
-        let cfg = MachineConfig {
-            host_threads: 6,
-            ..MachineConfig::default()
-        };
-        let app = SimConfigBuilder::new().machine(cfg).build().unwrap();
-        assert_eq!(app.threads, 6);
+    fn threads_are_set_explicitly() {
         let app = SimConfigBuilder::new().threads(3).build().unwrap();
         assert_eq!(app.threads, 3);
     }

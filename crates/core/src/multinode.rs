@@ -41,7 +41,7 @@ use merrimac_net::multinode::{
 };
 use merrimac_net::topology::{NetError, Topology};
 use merrimac_sim::machine::SimError;
-use merrimac_sim::{StreamProcessor, StreamProgram};
+use merrimac_sim::StreamProgram;
 
 use crate::app::{StepOutcome, StepProgram, StreamMdApp};
 use crate::layout::Strip;
@@ -189,11 +189,7 @@ pub fn run_multinode_program(
         .map(|s| strip_owner(s, &owner, n_real))
         .collect();
 
-    let proc = StreamProcessor::new(app.cfg.clone())
-        .with_costs(app.costs.clone())
-        .with_policy(app.policy)
-        .with_engine(app.engine)
-        .with_batch_width(app.tape_batch);
+    let proc = app.processor();
 
     let mut per_node = Vec::with_capacity(nodes);
     let mut loads = Vec::with_capacity(nodes);

@@ -73,17 +73,6 @@ impl BatchWidth {
         }
     }
 
-    /// Resolve from the `MERRIMAC_TAPE_BATCH` environment variable
-    /// (`8` or `16`; anything else, including unset, means 8). Lenient
-    /// legacy default for raw construction — results are
-    /// bitwise-identical at either width, only host wall-clock differs.
-    pub fn from_env() -> Self {
-        std::env::var("MERRIMAC_TAPE_BATCH")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
-    }
-
     /// Iterations per batch.
     pub fn lanes(self) -> usize {
         match self {

@@ -174,8 +174,8 @@ pub(crate) enum ExecMode<'a> {
 /// The batched SoA engine ([`merrimac_kernel::batch`], executing the
 /// compiled tape in vectorizable lanes of 8/16 iterations) is the
 /// default. The scalar bytecode tape and the graph-walking
-/// [`Interpreter`] remain as bisection oracles behind
-/// `MERRIMAC_KERNEL_ENGINE=tape|interp`. All three produce
+/// [`Interpreter`] remain as bisection oracles, selected with
+/// [`StreamProcessor::with_engine`]. All three produce
 /// bitwise-identical outputs, consumed counts and final registers —
 /// proven differentially by `tests/tape_equivalence.rs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -202,19 +202,6 @@ impl KernelEngine {
             "interp" => Some(KernelEngine::Interp),
             _ => None,
         }
-    }
-
-    /// Resolve from the `MERRIMAC_KERNEL_ENGINE` environment variable
-    /// (`batch`, `tape` or `interp`; anything else, including unset,
-    /// means batch). Lenient legacy default for a raw
-    /// [`StreamProcessor`]; the validated front doors
-    /// (`SimConfigBuilder::engine`, `RunSpec::from_env_overrides`)
-    /// reject malformed values instead.
-    pub fn from_env() -> Self {
-        std::env::var("MERRIMAC_KERNEL_ENGINE")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
     }
 
     pub fn name(self) -> &'static str {
@@ -371,15 +358,12 @@ pub struct StreamProcessor {
     /// lookahead can deadlock the SRF allocator, exactly the hazard
     /// static stream scheduling exists to prevent.
     pub strip_lookahead: usize,
-    /// Which functional engine executes kernel dataflow graphs.
-    /// Defaults from the `MERRIMAC_KERNEL_ENGINE` environment variable
-    /// (batch unless set to `tape` or `interp`). Simulated results are
-    /// bitwise-identical under all three; only host wall-clock differs.
+    /// Which functional engine executes kernel dataflow graphs
+    /// (default batch). Simulated results are bitwise-identical under
+    /// all three; only host wall-clock differs.
     pub kernel_engine: KernelEngine,
-    /// Lane width of the batched engine ([`KernelEngine::Batch`]).
-    /// Defaults from the `MERRIMAC_TAPE_BATCH` environment variable
-    /// (8 unless set to `16`). Results are bitwise-identical at either
-    /// width.
+    /// Lane width of the batched engine ([`KernelEngine::Batch`];
+    /// default 8). Results are bitwise-identical at either width.
     pub tape_batch: BatchWidth,
 }
 
@@ -397,8 +381,8 @@ impl StreamProcessor {
             costs: OpCosts::default(),
             policy: SdrPolicy::Eager,
             strip_lookahead: DEFAULT_STRIP_LOOKAHEAD,
-            kernel_engine: KernelEngine::from_env(),
-            tape_batch: BatchWidth::from_env(),
+            kernel_engine: KernelEngine::default(),
+            tape_batch: BatchWidth::default(),
         }
     }
 
@@ -408,14 +392,13 @@ impl StreamProcessor {
     }
 
     /// Select the functional kernel-execution engine (batch, tape or
-    /// the reference interpreter) regardless of the environment default.
+    /// the reference interpreter).
     pub fn with_engine(mut self, engine: KernelEngine) -> Self {
         self.kernel_engine = engine;
         self
     }
 
-    /// Select the lane width of the batched engine regardless of the
-    /// environment default.
+    /// Select the lane width of the batched engine.
     pub fn with_batch_width(mut self, width: BatchWidth) -> Self {
         self.tape_batch = width;
         self

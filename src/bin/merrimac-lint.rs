@@ -19,6 +19,7 @@
 use std::process::ExitCode;
 
 use merrimac_analysis::{render_all, severity_counts, Diagnostic, Lint, Severity, ALL_LINTS};
+use merrimac_bench::json::json_str;
 use merrimac_bench::{analyze, atomic_system, paper_system, small_system, RunSpec};
 use streammd::Variant;
 
@@ -39,8 +40,7 @@ fn usage() -> ! {
          \x20 --paper            use the paper's 900-molecule dataset\n\
          \x20 --workload W       water (default), lj, or charged\n\
          \x20 --json             emit one JSON document instead of text\n\
-         \x20 --deny warnings    promote warnings to errors (also via\n\
-         \x20                    MERRIMAC_LINT_DENY=warnings)\n\
+         \x20 --deny warnings    promote warnings to errors\n\
          \x20 --allow LINT_ID    suppress one lint (repeatable)\n\
          \x20 --explain LINT_ID  print the long explanation for one lint"
     );
@@ -68,24 +68,6 @@ fn explain(code: &str) -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn diagnostic_json(d: &Diagnostic) -> String {
@@ -116,10 +98,7 @@ fn main() -> ExitCode {
     let mut paper = false;
     let mut workload = String::from("water");
     let mut json = false;
-    let mut deny_warnings = matches!(
-        std::env::var("MERRIMAC_LINT_DENY").as_deref(),
-        Ok("warnings") | Ok("warn") | Ok("1")
-    );
+    let mut deny_warnings = false;
     let mut allow: Vec<Lint> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -12,7 +12,6 @@
 
 use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
-use merrimac_arch::MachineConfig;
 use streammd::{MerrimacDriver, SimError, StreamMdApp, Variant};
 
 fn box_216() -> (WaterBox, NeighborList) {
@@ -58,8 +57,10 @@ fn unchecked_field_path_gets_the_diagnostic_at_run_time() {
     // public fields directly; the simulator preflight must still refuse
     // with the named diagnostic instead of deadlocking.
     let (system, list) = box_216();
-    let mut app = StreamMdApp::new(MachineConfig::default());
-    app.neighbor = list.params;
+    let mut app = StreamMdApp::builder()
+        .neighbor(list.params)
+        .build()
+        .expect("default app builds");
     app.strip_iterations = Some(997);
     let err = app
         .run_step_with_list(&system, &list, Variant::Fixed)

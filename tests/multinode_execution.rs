@@ -56,7 +56,7 @@ fn forces_bitwise_identical_across_nodes_and_threads() {
     // loudly here instead of being silently ignored.
     let overridden = RunSpec::new(&system, &list, Variant::Variable)
         .from_env_overrides()
-        .expect("MERRIMAC_* overrides must parse");
+        .unwrap_or_else(|e| panic!("{e}"));
     if !node_counts.contains(&overridden.nodes) {
         node_counts.push(overridden.nodes);
     }

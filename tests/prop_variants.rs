@@ -6,7 +6,6 @@ use md_sim::force::compute_forces;
 use md_sim::neighbor::{NeighborList, NeighborListParams};
 use md_sim::system::WaterBox;
 use md_sim::vec3::Vec3;
-use merrimac_arch::MachineConfig;
 use proptest::prelude::*;
 use streammd::{StreamMdApp, Variant};
 
@@ -25,13 +24,16 @@ fn run_case(molecules: usize, seed: u64, cutoff_frac: f64, strip: usize, l: usiz
         .iter()
         .map(|f| f.norm())
         .fold(1.0f64, f64::max);
-    // Deliberately unchecked field construction: the sampled strips
-    // include sizes (997) whose *full* strip would overflow the SRF, but
-    // these boxes are small enough that the layout clamps every strip to
-    // the available work — the run-time preflight stays green. The
-    // builder's dataset-independent validation would reject them.
-    let mut app = StreamMdApp::new(MachineConfig::default());
-    app.neighbor = params;
+    // The strip is set on the built app's field, past the builder: the
+    // sampled strips include sizes (997) whose *full* strip would
+    // overflow the SRF, but these boxes are small enough that the layout
+    // clamps every strip to the available work — the run-time preflight
+    // stays green. The builder's dataset-independent validation would
+    // reject them.
+    let mut app = StreamMdApp::builder()
+        .neighbor(params)
+        .build()
+        .expect("default app builds");
     app.strip_iterations = Some(strip);
     app.block_l = l;
     for v in Variant::ALL {
